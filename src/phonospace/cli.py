@@ -75,11 +75,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _report_skipped(i: int, rec, exc: InvalidPhoneString) -> None:
+    print(f"error: string {i} (line {rec.line}): invalid {exc}; skipped", file=sys.stderr)
+
+
 def cmd_syllabify(args) -> int:
     alphabet = _load_alphabet(args)
     weights = _weights(args)
     for i, rec in enumerate(corpus_io.read_corpus(args.corpus), start=1):
-        s, parse, scores, classes, plan = parse_and_plan(rec.phones, alphabet, weights)
+        try:
+            s, parse, scores, classes, plan = parse_and_plan(rec.phones, alphabet, weights)
+        except InvalidPhoneString as exc:
+            if not args.skip_invalid:
+                raise
+            _report_skipped(i, rec, exc)
+            continue
         doc = {
             "string": i,
             "line": rec.line,
@@ -132,7 +142,13 @@ def cmd_score(args) -> int:
     weights = _weights(args)
     total = 0.0
     for i, rec in enumerate(corpus_io.read_corpus(args.corpus), start=1):
-        lp = score(model, rec.phones, weights)
+        try:
+            lp = score(model, rec.phones, weights)
+        except InvalidPhoneString as exc:
+            if not args.skip_invalid:
+                raise
+            _report_skipped(i, rec, exc)
+            continue
         total += lp
         print(f"string {i} (line {rec.line}): {lp!r}")
     print(f"total: {total!r}")
@@ -207,6 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("syllabify", help="syllables, stress and dependency plans per string")
     p.add_argument("corpus")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--skip-invalid", action="store_true",
+                   help="report invalid strings on stderr and go on")
     p.add_argument("--stress-weights")
     p.set_defaults(func=cmd_syllabify)
 
@@ -223,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="log-probability of each corpus string")
     p.add_argument("corpus")
     p.add_argument("--model", required=True)
+    p.add_argument("--skip-invalid", action="store_true",
+                   help="report invalid strings on stderr and go on")
     p.add_argument("--stress-weights")
     p.set_defaults(func=cmd_score)
 

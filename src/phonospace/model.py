@@ -23,7 +23,9 @@ from bisect import bisect_right
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -103,58 +105,107 @@ class CondKey:
         )
 
 
+class Support:
+    """The targets of a distribution in canonical order, with set membership.
+
+    All distributions over one alphabet's cells plus the null phone share
+    the instance held by that alphabet's admissibility index.
+    """
+
+    __slots__ = ("targets", "members")
+
+    def __init__(self, targets: Iterable[Target]):
+        self.targets = tuple(sorted(targets, key=_target_sort_key))
+        self.members = frozenset(self.targets)
+
+
 class CategoricalDist:
-    """Immutable categorical over markers plus the null phone."""
+    """Immutable categorical over markers plus the null phone.
 
-    __slots__ = ("entries", "_probs", "_targets", "_cum")
+    Stored as its support, one floor probability shared by every support
+    target without an exception, and a map of exceptions. The floor is
+    the most common probability among the dense entries, ties going to
+    the smaller one, so equal distributions store equal parts.
+    """
 
-    def __init__(self, entries: Iterable[Tuple[Target, float]]):
-        ent = tuple(sorted(entries, key=lambda e: _target_sort_key(e[0])))
-        total = 0.0
-        probs: Dict[Target, float] = {}
-        for t, p in ent:
-            if p < 0:
-                raise ModelFormatError(f"negative probability {p} for {t!r}")
-            if t in probs:
-                raise ModelFormatError(f"duplicate target {t!r}")
-            probs[t] = p
-            total += p
+    __slots__ = ("_support", "floor", "exceptions", "_cum")
+
+    def __init__(self, entries: Union[Dict[Target, float], Iterable[Tuple[Target, float]]],
+                 support: Optional[Support] = None, floor: float = 0.0):
+        """``entries`` are (target, p) pairs or a dict of them.
+
+        Without ``support`` they list the whole support. With it they are
+        exceptions, and every other target of ``support`` has ``floor``.
+        """
+        pairs = list(entries.items() if isinstance(entries, dict) else entries)
+        probs = dict(pairs)
+        if len(probs) != len(pairs):
+            dup = next(t for t, n in Counter(t for t, _ in pairs).items() if n > 1)
+            raise ModelFormatError(f"duplicate target {dup!r}")
+        if support is None:
+            support = Support(probs)
+        elif not probs.keys() <= support.members:
+            raise ModelFormatError("exception target outside the support")
+        n_floor = len(support.targets) - len(probs)
+        if probs and min(probs.values()) < 0:
+            t, p = next((t, p) for t, p in pairs if p < 0)
+            raise ModelFormatError(f"negative probability {p} for {t!r}")
+        if n_floor and floor < 0:
+            raise ModelFormatError(f"negative floor probability {floor}")
+        total = sum(probs.values()) + floor * n_floor
         if abs(total - 1.0) > 1e-9:
             raise ModelFormatError(f"non-normalized distribution (sum {total!r})")
-        if None not in probs:
+        if None not in support.members:
             raise ModelFormatError("null phone missing from support")
-        self.entries = ent
-        self._probs = probs
-        self._targets = None
+        counts = Counter(probs.values())
+        if n_floor:
+            counts[floor] += n_floor
+        canonical = min(counts, key=lambda p: (-counts[p], p))
+        if n_floor and canonical != floor:
+            probs.update(dict.fromkeys(support.members - probs.keys(), floor))
+        self._support = support
+        self.floor = canonical
+        self.exceptions = {t: p for t, p in probs.items() if p != canonical}
         self._cum = None
 
+    @property
+    def entries(self) -> Tuple[Tuple[Target, float], ...]:
+        """Dense (target, p) pairs over the support, in canonical order."""
+        exc, floor = self.exceptions, self.floor
+        return tuple((t, exc.get(t, floor)) for t in self._support.targets)
+
     def prob(self, target: Target) -> float:
-        return self._probs.get(target, 0.0)
+        p = self.exceptions.get(target)
+        if p is None:
+            return self.floor if target in self._support.members else 0.0
+        return p
 
     def support(self) -> Tuple[Target, ...]:
-        return tuple(t for t, _ in self.entries)
+        return self._support.targets
+
+    def rebuilt(self, exceptions: Dict[Target, float], floor: float) -> "CategoricalDist":
+        """A distribution over the same support with new exceptions and floor."""
+        return CategoricalDist(exceptions, self._support, floor)
 
     def tv_distance(self, other: "CategoricalDist") -> float:
-        keys = set(self._probs) | set(other._probs)
+        keys = set(self.support()) | set(other.support())
         return 0.5 * sum(abs(self.prob(t) - other.prob(t)) for t in keys)
 
     def sample(self, rng: np.random.Generator) -> Target:
         if self._cum is None:
-            self._targets = [t for t, _ in self.entries]
-            cum, acc = [], 0.0
-            for _, p in self.entries:
-                acc += p
-                cum.append(acc)
-            self._cum = cum
+            self._cum = list(accumulate(p for _, p in self.entries))
+        targets = self._support.targets
         i = bisect_right(self._cum, float(rng.random()))
-        return self._targets[min(i, len(self._targets) - 1)]
+        return targets[min(i, len(targets) - 1)]
 
     def __eq__(self, other):
-        return isinstance(other, CategoricalDist) and self.entries == other.entries
+        return (isinstance(other, CategoricalDist) and self.floor == other.floor
+                and self.exceptions == other.exceptions
+                and self._support.targets == other._support.targets)
 
     def __repr__(self):
         nz = sum(1 for _, p in self.entries if p > 0)
-        return f"CategoricalDist({len(self.entries)} targets, {nz} nonzero)"
+        return f"CategoricalDist({len(self._support.targets)} targets, {nz} nonzero)"
 
 
 @dataclass(frozen=True)
@@ -227,11 +278,13 @@ def following_context_slot(key: CondKey) -> Optional[int]:
     return None
 
 
-class _StepCache:
-    """Per-alphabet cache of single-step admissibility in both directions."""
+class _AdmissibilityIndex:
+    """Single-step admissibility of one alphabet's cells, rows built on first use."""
 
     def __init__(self, alphabet: Alphabet):
-        self.cells = tuple(sorted(alphabet.cells, key=Marker.sort_key))
+        self.cells = tuple(alphabet)  # canonical order
+        self.closures = tuple(m for m in self.cells if m.manner is Manner.CLOSURE)
+        self.support = Support((None,) + self.cells)
         self._away: Dict[Marker, frozenset] = {}
         self._toward: Dict[Marker, frozenset] = {}
 
@@ -250,15 +303,15 @@ class _StepCache:
         return got
 
 
-_STEP_CACHES: Dict[int, _StepCache] = {}
+# weak keys: an index lives exactly as long as its alphabet
+_INDEXES: "WeakKeyDictionary[Alphabet, _AdmissibilityIndex]" = WeakKeyDictionary()
 
 
-def _steps_for(alphabet: Alphabet) -> _StepCache:
-    cache = _STEP_CACHES.get(id(alphabet))
-    if cache is None:
-        cache = _StepCache(alphabet)
-        _STEP_CACHES[id(alphabet)] = cache
-    return cache
+def _index_for(alphabet: Alphabet) -> _AdmissibilityIndex:
+    index = _INDEXES.get(alphabet)
+    if index is None:
+        index = _INDEXES[alphabet] = _AdmissibilityIndex(alphabet)
+    return index
 
 
 def admissible_targets(alphabet: Alphabet, key: CondKey) -> frozenset:
@@ -267,13 +320,13 @@ def admissible_targets(alphabet: Alphabet, key: CondKey) -> frozenset:
     Null context slots impose no constraint; the null phone is always
     admissible on top of the returned markers.
     """
-    steps = _steps_for(alphabet)
+    index = _index_for(alphabet)
     ctx = [c for c in key.context if c is not None]
     if not ctx:
-        return frozenset(steps.cells)
+        return frozenset(index.cells)
     if (key.unit, key.stress) in _AWAY:
-        return steps.away(ctx[0])
-    sets = [steps.toward(c) for c in ctx]
+        return index.away(ctx[0])
+    sets = [index.toward(c) for c in ctx]
     out = sets[0]
     for s in sets[1:]:
         out = out & s
@@ -314,18 +367,18 @@ class LanguageModel:
 
     def generic_dist(self, key: CondKey) -> CategoricalDist:
         """The language-neutral distribution for one key."""
+        index = _index_for(self.alphabet)
         adm = admissible_targets(self.alphabet, key)
-        cells = _steps_for(self.alphabet).cells
-        excluded = len(cells) - len(adm)
+        excluded = len(index.cells) - len(adm)
         if excluded > 0:
             p_adm = (1.0 - self.epsilon) / (len(adm) + 1)
             p_exc = self.epsilon / excluded
         else:
             p_adm = 1.0 / (len(adm) + 1)
             p_exc = 0.0
-        entries = [(None, p_adm)]
-        entries.extend((m, p_adm if m in adm else p_exc) for m in cells)
-        return CategoricalDist(entries)
+        exceptions = dict.fromkeys(adm, p_adm)
+        exceptions[None] = p_adm
+        return CategoricalDist(exceptions, index.support, p_exc)
 
     def dist(self, key: CondKey) -> CategoricalDist:
         """Stored table entry or generic fallback, through the transform stack."""
@@ -470,16 +523,14 @@ def train(
     if n_strings == 0:
         raise TrainingError("empty corpus")
 
-    support = [None] + list(_steps_for(alphabet).cells)
-    s_size = len(support)
+    support = _index_for(alphabet).support
+    s_size = len(support.targets)
     tables: Dict[CondKey, CategoricalDist] = {}
     for key in sorted(counts, key=CondKey.sort_key):
         c = counts[key]
-        total = sum(c.values())
-        denom = total + alpha * s_size
+        denom = sum(c.values()) + alpha * s_size
         tables[key] = CategoricalDist(
-            (t, (c.get(t, 0) + alpha) / denom) for t in support
-        )
+            {t: (n + alpha) / denom for t, n in c.items()}, support, alpha / denom)
 
     if limits == "observed":
         lim = _observed_limits(seen_phones)
@@ -501,37 +552,31 @@ def train(
 _DESC = {StressClass.STRESSED, StressClass.MIDDLING_LTR}   # claim: next rank lower
 _LEFT_DESC = {StressClass.UNSTRESSED, StressClass.MIDDLING_LTR}  # claim: prev rank higher
 
-_SEQ_CACHE: Dict[int, Tuple[Tuple[StressClass, ...], ...]] = {}
 
-
+@lru_cache(maxsize=None)
 def legal_stress_sequences(k: int) -> Tuple[Tuple[StressClass, ...], ...]:
     """All class sequences realizable by some strict stress ranking."""
-    if k in _SEQ_CACHE:
-        return _SEQ_CACHE[k]
     if k == 1:
-        out: Tuple[Tuple[StressClass, ...], ...] = ((StressClass.STRESSED,),)
-    else:
-        seqs: List[Tuple[StressClass, ...]] = []
+        return ((StressClass.STRESSED,),)
+    seqs: List[Tuple[StressClass, ...]] = []
 
-        def extend(prefix: List[StressClass]):
-            if len(prefix) == k:
-                if prefix[-1] in (StressClass.STRESSED, StressClass.MIDDLING_LTR):
-                    seqs.append(tuple(prefix))
-                return
-            for c in StressClass:
-                if not prefix:
-                    if c in (StressClass.STRESSED, StressClass.UNSTRESSED):
-                        extend([c])
-                    continue
-                # adjacent agreement: the left claim of c must restate the
-                # right claim of prefix[-1] about the shared rank step
-                if (prefix[-1] in _DESC) == (c in _LEFT_DESC):
-                    extend(prefix + [c])
+    def extend(prefix: List[StressClass]):
+        if len(prefix) == k:
+            if prefix[-1] in (StressClass.STRESSED, StressClass.MIDDLING_LTR):
+                seqs.append(tuple(prefix))
+            return
+        for c in StressClass:
+            if not prefix:
+                if c in (StressClass.STRESSED, StressClass.UNSTRESSED):
+                    extend([c])
+                continue
+            # adjacent agreement: the left claim of c must restate the
+            # right claim of prefix[-1] about the shared rank step
+            if (prefix[-1] in _DESC) == (c in _LEFT_DESC):
+                extend(prefix + [c])
 
-        extend([])
-        out = tuple(seqs)
-    _SEQ_CACHE[k] = out
-    return out
+    extend([])
+    return tuple(seqs)
 
 
 class _Resample(Exception):
@@ -647,7 +692,7 @@ def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
         rhyme_int[i] = list(reversed(interior))
         onset_int[i] = list(reversed(left[:-1]))
         junctions[i] = left[-1]
-    closures = [m for m in _steps_for(model.alphabet).cells if m.manner is _CLOSURE]
+    closures = _index_for(model.alphabet).closures
     for i, c in enumerate(classes):
         if c is not U:
             continue
@@ -714,7 +759,9 @@ def sample(
 # ---------------------------------------------------------------------------
 # serialization
 
-FORMAT_VERSION = "phonospace-model-1"
+FORMAT_VERSION = "phonospace-model-2"
+# a version-1 document is a version-2 document whose entries carry no floor
+READABLE_FORMATS = ("phonospace-model-1", FORMAT_VERSION)
 
 
 def _target_to_json(t: Target):
@@ -742,16 +789,23 @@ def _target_from_json(obj, alphabet: Alphabet) -> Target:
 
 def model_to_json(model: LanguageModel) -> dict:
     q = model.quantization
+    full = _index_for(model.alphabet).support.targets
     tables = []
     for key in sorted(model.tables, key=CondKey.sort_key):
         d = model.dist(key)  # through the transform stack
-        tables.append({
+        entry = {
             "key": {
                 "unit": key.unit.value, "stress": key.stress.value,
                 "context": [_target_to_json(c) for c in key.context],
             },
-            "dist": [[_target_to_json(t), repr(p)] for t, p in d.entries],
-        })
+        }
+        if d.support() == full:
+            listed = sorted(d.exceptions.items(), key=lambda e: _target_sort_key(e[0]))
+            entry["dist"] = [[_target_to_json(t), repr(p)] for t, p in listed]
+            entry["floor"] = repr(d.floor)
+        else:
+            entry["dist"] = [[_target_to_json(t), repr(p)] for t, p in d.entries]
+        tables.append(entry)
     return {
         "format": FORMAT_VERSION,
         "alphabet_version": model.alphabet_version,
@@ -804,7 +858,7 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
-    if not isinstance(obj, dict) or obj.get("format") != FORMAT_VERSION:
+    if not isinstance(obj, dict) or obj.get("format") not in READABLE_FORMATS:
         raise ModelFormatError(f"unknown model format {obj.get('format')!r}"
                                if isinstance(obj, dict) else "model document is not an object")
     if obj.get("alphabet_version") != alphabet.version:
@@ -829,6 +883,7 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
             R=tuple(lj["R"]), T=tuple(lj["T"]), D=tuple(lj["D"]), L=tuple(lj["L"]),
             N=frozenset(lj["N"]), V=frozenset(lj["V"]),
         )
+        full = _index_for(alphabet).support
         tables: Dict[CondKey, CategoricalDist] = {}
         units = {u.value: u for u in Unit}
         stresses = {c.value: c for c in StressClass}
@@ -840,9 +895,11 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
             )
             if key in tables:
                 raise ModelFormatError(f"duplicate key {key!r}")
-            tables[key] = CategoricalDist(
-                (_target_from_json(t, alphabet), float(p)) for t, p in entry["dist"]
-            )
+            listed = [(_target_from_json(t, alphabet), float(p)) for t, p in entry["dist"]]
+            # a floor implies the full support; so does a (version 1) listing of every target
+            full_support = "floor" in entry or len(listed) == len(full.targets)
+            tables[key] = CategoricalDist(listed, full if full_support else None,
+                                          float(entry.get("floor", 0.0)))
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -166,9 +166,6 @@ class Block:
     end: int  # inclusive phone index
     representative: Marker
 
-    def phone_range(self) -> range:
-        return range(self.start, self.end + 1)
-
 
 @dataclass(frozen=True)
 class Syllable:

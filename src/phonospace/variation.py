@@ -97,26 +97,25 @@ def ordinal_distance(a: Marker, b: Marker) -> int:
     return d
 
 
-def _renormalized(probs: Dict[Target, float]) -> CategoricalDist:
-    cap = 1.0 - (len(probs) - 1) * 1e-12  # keep all entries positive after scaling
-    clipped = {t: min(p, cap) for t, p in probs.items()}
-    total = sum(clipped.values())
-    return CategoricalDist((t, p / total) for t, p in clipped.items())
+def _renormalized(dist: CategoricalDist, exceptions: Dict[Target, float],
+                  floor: float) -> CategoricalDist:
+    """``dist``'s support with new masses, clipped and scaled to sum to one."""
+    support = dist.support()
+    cap = 1.0 - (len(support) - 1) * 1e-12  # keep all entries positive after scaling
+    floor = min(floor, cap)
+    clipped = {t: min(p, cap) for t, p in exceptions.items()}
+    total = sum(clipped.get(t, floor) for t in support)  # summed in entry order
+    return dist.rebuilt({t: p / total for t, p in clipped.items()}, floor / total)
 
 
 def _move_mass(dist: CategoricalDist, src: Marker, dst: Marker, frac: float) -> CategoricalDist:
     delta = dist.prob(src) * frac
-    if delta <= 0.0 or dst not in set(dist.support()):
+    if delta <= 0.0 or dst not in dist.support():
         return dist
-    out = []
-    for t, p in dist.entries:
-        if t == src:
-            out.append((t, p - delta))
-        elif t == dst:
-            out.append((t, p + delta))
-        else:
-            out.append((t, p))
-    return CategoricalDist(out)
+    exceptions = dict(dist.exceptions)
+    exceptions[src] = dist.prob(src) - delta
+    exceptions[dst] = dist.prob(dst) + delta
+    return dist.rebuilt(exceptions, dist.floor)
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,9 @@ class AppliedTransform:
             factor = 1.0 + lam * (self.regime.rate - 1.0)
             if factor == 1.0 or dist.prob(None) == 0.0:
                 return dist
-            probs = {t: p for t, p in dist.entries}
-            probs[None] = probs[None] * factor
-            return _renormalized(probs)
+            exceptions = dict(dist.exceptions)
+            exceptions[None] = dist.prob(None) * factor
+            return _renormalized(dist, exceptions, dist.floor)
         if kind is TransformKind.EPENTHESIS:
             if key.stress is not StressClass.STRESSED:
                 return dist
@@ -146,13 +145,21 @@ class AppliedTransform:
             if factor == 1.0:
                 return dist
             adm = admissible_targets(model.alphabet, key)
-            joining = [t for t, p in dist.entries
+            # joining targets: markers outside the admissible set with mass
+            exceptions = dict(dist.exceptions)
+            joining = [t for t, p in exceptions.items()
                        if t is not None and t not in adm and p > 0.0]
-            if not joining:
+            for t in joining:
+                exceptions[t] *= factor
+            floor = dist.floor
+            at_floor = set(dist.support()) - exceptions.keys()
+            joining_at_floor = at_floor - adm - {None} if floor > 0.0 else set()
+            if joining_at_floor:
+                exceptions.update(dict.fromkeys(at_floor - joining_at_floor, floor))
+                floor *= factor
+            elif not joining:
                 return dist
-            joining_set = set(joining)
-            probs = {t: (p * factor if t in joining_set else p) for t, p in dist.entries}
-            return _renormalized(probs)
+            return _renormalized(dist, exceptions, floor)
         if kind is TransformKind.LENITION:
             if key.unit not in (Unit.ONSET, Unit.RHYME):
                 return dist
@@ -185,7 +192,8 @@ class AppliedTransform:
         total = sum(probs.values())
         if total <= 0.0:
             return dist
-        return CategoricalDist((t, p / total) for t, p in probs.items())
+        # every target's mass changes; the rebuild picks the new floor
+        return dist.rebuilt({t: p / total for t, p in probs.items()}, 0.0)
 
 
 def apply(model: LanguageModel, regime: Regime, spec: TransformSpec) -> LanguageModel:

@@ -171,3 +171,67 @@ class TestEnvVar:
         monkeypatch.setenv("PHONOSPACE_ALPHABET", mini_path)
         code, out, _ = run(["info"])
         assert code == 0 and json.loads(out)["alphabet_version"] == "mini-1.0"
+
+
+def mixed_corpus(tmp_path, mini_alphabet, rng, mk):
+    good = [random_valid_string(rng, mini_alphabet, max_len=7, prosody_span=2) for _ in range(2)]
+    bad = [Phone(mk("vowel:front:close:glottal"), ProsodicVector())] * 3
+    path = tmp_path / "mixed.jsonl"
+    write_corpus([good[0], bad, good[1]], str(path))
+    return str(path)
+
+
+class TestSkipInvalid:
+    def test_score(self, tmp_path, mini_alphabet, rng, mk, mini_path):
+        from phonospace import generic_model, save_model
+        corpus = mixed_corpus(tmp_path, mini_alphabet, rng, mk)
+        model_path = str(tmp_path / "generic.json")
+        save_model(generic_model(mini_alphabet), model_path)
+        code, out, err = run(["--alphabet", mini_path, "score", corpus, "--model", model_path])
+        assert code == 1 and "missingBoundaryClosure" in err and out.startswith("string 1 ")
+        code, out, err = run(["--alphabet", mini_path, "score", corpus, "--model", model_path,
+                              "--skip-invalid"])
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(" (")[0] for line in lines[:-1]] == ["string 1", "string 3"]
+        assert lines[-1].startswith("total: ")
+        assert err.startswith("error: string 2 (line ") and "missingBoundaryClosure" in err
+        assert len(err.splitlines()) == 1
+
+    def test_syllabify(self, tmp_path, mini_alphabet, rng, mk, mini_path):
+        corpus = mixed_corpus(tmp_path, mini_alphabet, rng, mk)
+        code, _, err = run(["--alphabet", mini_path, "syllabify", corpus, "--json"])
+        assert code == 1 and "missingBoundaryClosure" in err
+        code, out, err = run(["--alphabet", mini_path, "syllabify", corpus, "--json",
+                              "--skip-invalid"])
+        assert code == 0
+        assert [json.loads(line)["string"] for line in out.splitlines()] == [1, 3]
+        assert err.startswith("error: string 2 (line ") and len(err.splitlines()) == 1
+
+
+class TestSampleBytes:
+    # digests of the output of the dense-distribution implementation
+    # (model format 1), which the floor-plus-exceptions form must reproduce
+    GENERIC = "7069591d2fa7ec002a342d5803e852e6e32ec7bc1f4746e65888c195ad3abece"
+    TRAINED = "49020204d00d909b4f8a658aa657ec1c9fb7d5bbe1b1cca6939aef4054606fcc"
+
+    @staticmethod
+    def digest(argv):
+        import hashlib
+        code, out, err = run(argv)
+        assert code == 0, err
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    def test_generic_model(self):
+        assert self.digest(["sample", "-n", "50", "--seed", "7"]) == self.GENERIC
+
+    def test_trained_model(self, tmp_path, alphabet):
+        import numpy as np
+        rng = np.random.default_rng(7)
+        strings = [random_valid_string(rng, alphabet, max_len=14) for _ in range(30)]
+        corpus, model_path = str(tmp_path / "c.jsonl"), str(tmp_path / "m.json")
+        write_corpus(strings, corpus)
+        code, _, _ = run(["train", corpus, "--out", model_path])
+        assert code == 0
+        argv = ["sample", "-n", "50", "--seed", "7", "--model", model_path]
+        assert self.digest(argv) == self.TRAINED

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -322,3 +323,212 @@ class TestSerialization:
         m2 = load_model(buf.getvalue(), mini_alphabet)
         for s in corpus[:10]:
             assert score(m, s) == score(m2, s)
+
+
+def _canonical_floor(entries):
+    counts = Counter(p for _, p in entries)
+    return min(counts, key=lambda p: (-counts[p], p))
+
+
+def _sorted_dense(entries):
+    return tuple(sorted(entries, key=lambda e: (0,) if e[0] is None else (1,) + e[0].sort_key()))
+
+
+def _reference_generic(alphabet, key, eps):
+    """The dense construction: every cell listed, admissible or not."""
+    adm = admissible_targets(alphabet, key)
+    cells = list(alphabet)
+    excluded = len(cells) - len(adm)
+    if excluded > 0:
+        p_adm, p_exc = (1.0 - eps) / (len(adm) + 1), eps / excluded
+    else:
+        p_adm, p_exc = 1.0 / (len(adm) + 1), 0.0
+    return [(None, p_adm)] + [(m, p_adm if m in adm else p_exc) for m in cells]
+
+
+def _some_keys(alphabet):
+    cells = list(alphabet)
+    picks = [None] + cells[::37]
+    for unit in Unit:
+        for cls in StressClass:
+            for c in picks:
+                yield CondKey(unit, cls, (c,))
+    for a in picks[:4]:
+        for b in picks[-4:]:
+            yield CondKey(Unit.NUCLEUS, U, (a, b))
+
+
+class TestFloorForm:
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_generic_round_trips_dense_entries(self, alphabet, eps):
+        m = generic_model(alphabet, epsilon=eps)
+        for key in _some_keys(alphabet):
+            dense = _reference_generic(alphabet, key, eps)
+            d = m.generic_dist(key)
+            assert d.entries == _sorted_dense(dense)
+            rebuilt = CategoricalDist(dense)
+            assert rebuilt == d and rebuilt.entries == d.entries
+            assert d.floor == _canonical_floor(dense)
+            assert len(d.entries) == len(alphabet) + 1
+            if eps == 0.0:
+                zeros = len(alphabet) - len(admissible_targets(alphabet, key))
+                assert sum(1 for _, p in d.entries if p == 0.0) == zeros
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    def test_trained_round_trips_dense_entries(self, alphabet, alpha):
+        rng = np.random.default_rng(4)
+        corpus = [random_valid_string(rng, alphabet, max_len=12) for _ in range(25)]
+        m = train(corpus, alpha=alpha, alphabet=alphabet)
+        counts = {}
+        for phones in corpus:
+            s, _parse, _scores, _classes, plan = parse_and_plan(phones, alphabet)
+            for f in plan.factors:
+                key, target = factor_key(s, f)
+                counts.setdefault(key, Counter())[target] += 1
+        support = [None] + list(alphabet)
+        assert set(m.tables) == set(counts)
+        for key, c in counts.items():
+            denom = sum(c.values()) + alpha * len(support)
+            dense = [(t, (c.get(t, 0) + alpha) / denom) for t in support]
+            d = m.tables[key]
+            assert d.entries == tuple(dense)
+            assert CategoricalDist(dense) == d
+            assert d.floor == _canonical_floor(dense)
+
+    def test_partial_support(self, mini_alphabet):
+        mm = mini_markers(mini_alphabet)
+        dense = [(mm["i"], 0.3), (None, 0.2), (mm["o"], 0.3), (mm["Q"], 0.2)]
+        d = CategoricalDist(dense)
+        assert d.entries == _sorted_dense(dense)
+        assert d.support() == tuple(t for t, _ in _sorted_dense(dense))
+        assert d.floor == 0.2  # a tie goes to the smaller value
+        assert d.prob(mm["n"]) == 0.0 and d.prob(mm["o"]) == 0.3
+        assert CategoricalDist(d.entries) == d
+        assert d.sample(np.random.default_rng(0)) in d.support()
+        hand = CategoricalDist([(None, 0.1), (mm["i"], 0.9)])
+        assert hand.entries == ((None, 0.1), (mm["i"], 0.9))
+        assert hand != CategoricalDist([(None, 0.1), (mm["o"], 0.9)])
+
+    def test_hand_built_dists_round_trip(self, mini_alphabet):
+        # the dense dists built by hand in the syncope and scoring tests
+        support = [None] + list(mini_alphabet)
+        rest = support[1:]
+        built = [[(None, 0.1)] + [(t, 0.9 / len(rest)) for t in rest]]
+        for target in support:
+            others = [t for t in support if t != target]
+            built.append([(target, 0.5)] + [(t, 0.5 / len(others)) for t in others])
+        for dense in built:
+            d = CategoricalDist(dense)
+            assert d.entries == _sorted_dense(dense)
+            assert CategoricalDist(d.entries) == d
+            assert all(d.prob(t) == p for t, p in dense)
+            assert d.floor == _canonical_floor(dense) and len(d.exceptions) == 1
+
+    def test_exceptions_and_floor_equal_dense_form(self, mini_alphabet):
+        dense = CategoricalDist([(None, 0.5)] + [(t, 0.05) for t in mini_alphabet])
+        uniform = generic_model(mini_alphabet, epsilon=0.5).dist(
+            CondKey(Unit.NUCLEUS, S, (None,)))
+        sparse = uniform.rebuilt({None: 0.5}, 0.05)
+        assert sparse == dense and sparse.entries == dense.entries
+        assert sparse.exceptions == {None: 0.5} and sparse.floor == 0.05
+        with pytest.raises(ModelFormatError, match="non-normalized"):
+            uniform.rebuilt({None: 0.5}, 0.06)
+        with pytest.raises(ModelFormatError, match="negative"):
+            uniform.rebuilt({None: 1.5}, -0.05)
+
+    def test_seeded_draws_follow_the_dense_walk(self, alphabet):
+        m = generic_model(alphabet, epsilon=0.05)
+        for key in list(_some_keys(alphabet))[:20]:
+            dense = CategoricalDist(_reference_generic(alphabet, key, 0.05))
+            a, b = np.random.default_rng(3), np.random.default_rng(3)
+            assert [m.dist(key).sample(a) for _ in range(30)] == \
+                [dense.sample(b) for _ in range(30)]
+
+    def test_index_survives_alphabet_turnover(self, mini_alphabet):
+        # ids of collected alphabets are reused; the index must not be
+        import gc
+        from importlib import resources
+        from conftest import MINI_TABLE
+        from phonospace import load_alphabet
+        full_table = resources.files("phonospace.data").joinpath("alphabet.tsv").read_text("utf-8")
+        i = mini_markers(mini_alphabet)["i"]
+        for n in range(200):
+            alphabet = load_alphabet(MINI_TABLE if n % 2 else full_table)
+            d = generic_model(alphabet, epsilon=0.05).generic_dist(CondKey(Unit.RHYME, S, (i,)))
+            assert len(d.entries) == len(alphabet) + 1
+            del alphabet, d
+            gc.collect()
+
+
+class TestFormatV2:
+    def test_entries_list_exceptions_with_a_floor(self, alphabet, rng):
+        import json
+        corpus = [random_valid_string(rng, alphabet, max_len=10) for _ in range(10)]
+        m = train(corpus, alpha=0.01, alphabet=alphabet)
+        buf = io.StringIO()
+        save_model(m, buf)
+        doc = json.loads(buf.getvalue())
+        assert doc["format"] == "phonospace-model-2"
+        for entry in doc["tables"]:
+            assert set(entry) == {"key", "dist", "floor"}
+            assert len(entry["dist"]) < len(alphabet) // 2
+        assert load_model(buf.getvalue(), alphabet).tables == m.tables
+
+    def test_partial_support_saved_dense(self, mini_alphabet):
+        mm = mini_markers(mini_alphabet)
+        key = CondKey(Unit.RHYME, S, (mm["i"],))
+        d = CategoricalDist([(None, 0.25), (mm["n"], 0.75)])
+        m = LanguageModel(alphabet=mini_alphabet, tables={key: d}, epsilon=0.05, alpha=0.0,
+                          limits=ProsodicLimits.full())
+        buf = io.StringIO()
+        save_model(m, buf)
+        assert '"floor"' not in buf.getvalue()
+        loaded = load_model(buf.getvalue(), mini_alphabet).tables[key]
+        assert loaded == d and loaded.support() == d.support()
+
+    def test_flipped_floors_byte_stable(self, alphabet):
+        # generic dists whose admissible set is the majority keep p_adm as floor
+        g = generic_model(alphabet, epsilon=0.05)
+        tables = {key: g.generic_dist(key) for key in _some_keys(alphabet)}
+        assert any(d.floor == d.prob(None) for d in tables.values())
+        m = LanguageModel(alphabet=alphabet, tables=tables, epsilon=0.05, alpha=0.0,
+                          limits=ProsodicLimits.full())
+        buf1, buf2 = io.StringIO(), io.StringIO()
+        save_model(m, buf1)
+        m2 = load_model(buf1.getvalue(), alphabet)
+        save_model(m2, buf2)
+        assert buf1.getvalue() == buf2.getvalue()
+        assert m2.tables == tables
+
+    def test_version_one_fixture_loads_equal(self, mini_alphabet):
+        # saved by the dense implementation: 8 strings, seed 2, alpha 0.01
+        from pathlib import Path
+        path = Path(__file__).parent / "data" / "mini_model_v1.json"
+        assert '"format":"phonospace-model-1"' in path.read_text()
+        old = load_model(str(path), mini_alphabet)
+        rng = np.random.default_rng(2)
+        corpus = [random_valid_string(rng, mini_alphabet, max_len=8, prosody_span=2)
+                  for _ in range(8)]
+        now = train(corpus, alpha=0.01, epsilon=0.05, alphabet=mini_alphabet)
+        assert old.tables.keys() == now.tables.keys()
+        for key, d in now.tables.items():
+            assert old.tables[key] == d and old.tables[key].entries == d.entries
+        assert old.limits == now.limits
+        buf = io.StringIO()
+        save_model(old, buf)
+        assert load_model(buf.getvalue(), mini_alphabet).tables == now.tables
+
+    def test_bad_floor_rejected(self, mini_alphabet):
+        mm = mini_markers(mini_alphabet)
+        m = train([[ph(mm["Q"]), ph(mm["i"]), ph(mm["Q"])]], alpha=0.01, alphabet=mini_alphabet)
+        buf = io.StringIO()
+        save_model(m, buf)
+        text = buf.getvalue()
+        floor = m.tables[next(iter(m.tables))].floor
+        with pytest.raises(ModelFormatError, match="negative"):
+            load_model(text.replace(f'"floor":"{floor!r}"', f'"floor":"{-floor!r}"', 1),
+                       mini_alphabet)
+        with pytest.raises(ModelFormatError, match="malformed"):
+            load_model(text.replace(f'"floor":"{floor!r}"', '"floor":"x"', 1), mini_alphabet)
+        with pytest.raises(ModelFormatError, match="unknown model format"):
+            load_model(text.replace("phonospace-model-2", "phonospace-model-3"), mini_alphabet)
