@@ -14,8 +14,6 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from . import corpus as corpus_io
 from .alphabet import Alphabet, default_alphabet, load_alphabet_path
 from .corpus import CorpusFormatError
@@ -156,6 +154,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"-n must be nonnegative, got {args.n}")
+    if args.max_syllables < 1:
+        raise ValueError(f"--max-syllables must be at least 1, got {args.max_syllables}")
+    import numpy as np  # only sampling draws random numbers
+
     alphabet = _load_alphabet(args)
     if args.model:
         model = load_model(args.model, alphabet)

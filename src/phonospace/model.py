@@ -24,10 +24,8 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
-
-import numpy as np
 
 from .alphabet import (
     DEFAULT_QUANTIZATION,
@@ -38,7 +36,7 @@ from .alphabet import (
     ProsodicVector,
     QuantizationConfig,
 )
-from .sonority import is_diphthongal_step
+from .sonority import STEP_RULE, PartialOrdering, StepDimension
 from .syllabifier import (
     InvalidPhoneString,
     PhoneString,
@@ -54,6 +52,9 @@ from .syllabifier import (
     string_violations,
     validate_string,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Target = Optional[Marker]  # None is the null phone
 
@@ -153,7 +154,7 @@ class CategoricalDist:
         if n_floor and floor < 0:
             raise ModelFormatError(f"negative floor probability {floor}")
         total = sum(probs.values()) + floor * n_floor
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # also rejects a NaN sum
             raise ModelFormatError(f"non-normalized distribution (sum {total!r})")
         if None not in support.members:
             raise ModelFormatError("null phone missing from support")
@@ -222,6 +223,8 @@ class ProsodicLimits:
     def __post_init__(self):
         for name in ("R", "T", "D", "L"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} interval has a non-finite bound")
             if lo > hi:
                 raise ValueError(f"{name} interval has lo > hi")
         for name in ("N", "V"):
@@ -278,28 +281,75 @@ def following_context_slot(key: CondKey) -> Optional[int]:
     return None
 
 
+_RankClasses = Dict[object, Tuple[frozenset, frozenset]]
+
+
+def _rank_classes(cells: Sequence[Marker], dim: StepDimension) -> Tuple[_RankClasses, _RankClasses]:
+    """Per value of one dimension, the cells one step can reach, in each direction.
+
+    For a value v the away entry holds the cells t whose relation to v,
+    cmp(t, v), does not rise, and the subset of those where it does not
+    fall strictly either; the toward entry does the same for cmp(v, t).
+    """
+    groups: Dict[object, List[Marker]] = {v: [] for v in dim.values}
+    for c in cells:
+        groups[getattr(c, dim.attr)].append(c)
+
+    flat = dim.allowed - {PartialOrdering.LESS}
+
+    def classes(rel_of) -> Tuple[frozenset, frozenset]:
+        rels = {w: rel_of(w) for w in dim.values}
+        return (frozenset(c for w, r in rels.items() if r in dim.allowed for c in groups[w]),
+                frozenset(c for w, r in rels.items() if r in flat for c in groups[w]))
+
+    away = {v: classes(lambda w: dim.cmp(w, v)) for v in dim.values}
+    toward = {v: classes(lambda w: dim.cmp(v, w)) for v in dim.values}
+    return away, toward
+
+
+def _row(ctx: Marker, per_dim: Sequence[Tuple[str, _RankClasses]]) -> frozenset:
+    """Cells that rise in no dimension, minus those that fall in none."""
+    attr, classes = per_dim[0]
+    no_rise, no_fall = classes[getattr(ctx, attr)]
+    for attr, classes in per_dim[1:]:
+        rise_free, fall_free = classes[getattr(ctx, attr)]
+        no_rise = no_rise & rise_free
+        no_fall = no_fall & fall_free
+    return no_rise - no_fall
+
+
 class _AdmissibilityIndex:
-    """Single-step admissibility of one alphabet's cells, rows built on first use."""
+    """Single-step admissibility of one alphabet's cells.
+
+    Rows come from per-dimension rank classes of the step rule in
+    ``sonority.STEP_RULE`` and are memoized per context marker.
+    """
 
     def __init__(self, alphabet: Alphabet):
         self.cells = tuple(alphabet)  # canonical order
         self.closures = tuple(m for m in self.cells if m.manner is Manner.CLOSURE)
         self.support = Support((None,) + self.cells)
+        self._away_classes: List[Tuple[str, _RankClasses]] = []
+        self._toward_classes: List[Tuple[str, _RankClasses]] = []
+        for dim in STEP_RULE:
+            away, toward = _rank_classes(self.cells, dim)
+            self._away_classes.append((dim.attr, away))
+            self._toward_classes.append((dim.attr, toward))
         self._away: Dict[Marker, frozenset] = {}
         self._toward: Dict[Marker, frozenset] = {}
 
     def away(self, ctx: Marker) -> frozenset:
+        """Cells t with ``is_diphthongal_step(ctx, t)``."""
         got = self._away.get(ctx)
         if got is None:
-            got = frozenset(t for t in self.cells if is_diphthongal_step(ctx, t))
-            self._away[ctx] = got
+            got = self._away[ctx] = _row(ctx, self._away_classes)
         return got
 
     def toward(self, ctx: Marker) -> frozenset:
+        """Cells t with ``is_diphthongal_step(t, ctx)``."""
         got = self._toward.get(ctx)
         if got is None:
-            got = frozenset(t for t in self.cells if is_diphthongal_step(t, ctx))
-            self._toward[ctx] = got
+            got = self._toward[ctx] = _row(ctx, self._toward_classes)
         return got
 
 
@@ -494,8 +544,8 @@ def train(
     alphabet cells plus null. Prosodic limits default to the observed
     min/max per dimension; pass a ProsodicLimits or "full" to override.
     """
-    if alpha < 0:
-        raise ModelError("alpha must be nonnegative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ModelError(f"alpha must be finite and nonnegative, got {alpha}")
     if not 0.0 <= epsilon < 1.0:
         raise ModelError(f"joining mass must satisfy 0 <= epsilon < 1, got {epsilon}")
     if alphabet is None:
@@ -753,6 +803,8 @@ def sample(
     weights: StressWeights = StressWeights(),
 ) -> PhoneString:
     """Deterministic single-string sample for a seed (PCG64 stream)."""
+    import numpy as np
+
     return sample_with_rng(model, max_syllables, np.random.default_rng(seed), weights)
 
 
@@ -904,7 +956,7 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from None
-    if not 0.0 <= epsilon < 1.0 or alpha < 0:
+    if not 0.0 <= epsilon < 1.0 or not (math.isfinite(alpha) and alpha >= 0):
         raise ModelFormatError("epsilon/alpha out of range")
     return LanguageModel(
         alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .alphabet import FrontBack, Manner, Marker, OpenClose, Place
 
@@ -111,8 +111,27 @@ def cmp_sonority(a: Marker, b: Marker) -> SonorityRelation:
     return SonorityRelation.EQUIVALENT
 
 
-_DOWN = (PartialOrdering.LESS, PartialOrdering.EQUAL)
-_DOWN_OR_SIDEWAYS = (PartialOrdering.LESS, PartialOrdering.EQUAL, PartialOrdering.INCOMPARABLE)
+_DOWN = frozenset({PartialOrdering.LESS, PartialOrdering.EQUAL})
+_DOWN_OR_SIDEWAYS = _DOWN | {PartialOrdering.INCOMPARABLE}
+
+
+class StepDimension(NamedTuple):
+    """One dimension of the diphthongal step rule."""
+
+    attr: str  # Marker field
+    values: type  # the dimension's Enum
+    cmp: Callable[[Enum, Enum], PartialOrdering]
+    allowed: frozenset  # relations of cmp(step end, step start) that do not rise
+
+
+# The diphthongal step a -> b: for every dimension cmp(b, a) is allowed,
+# and at least one of them is a strict fall (LESS).
+STEP_RULE = (
+    StepDimension("manner", Manner, cmp_manner, _DOWN),
+    StepDimension("open_close", OpenClose, cmp_open_close, _DOWN),
+    StepDimension("place", Place, cmp_place, _DOWN_OR_SIDEWAYS),
+    StepDimension("front_back", FrontBack, cmp_front_back, _DOWN_OR_SIDEWAYS),
+)
 
 
 @lru_cache(maxsize=None)
@@ -123,19 +142,13 @@ def is_diphthongal_step(a: Marker, b: Marker) -> bool:
     one must strictly decrease; the incomparable sides of frontBack and
     place count as not-increasing but never as the strict decrease.
     """
-    m = cmp_manner(b.manner, a.manner)
-    if m not in _DOWN:
-        return False
-    o = cmp_open_close(b.open_close, a.open_close)
-    if o not in _DOWN:
-        return False
-    p = cmp_place(b.place, a.place)
-    if p not in _DOWN_OR_SIDEWAYS:
-        return False
-    f = cmp_front_back(b.front_back, a.front_back)
-    if f not in _DOWN_OR_SIDEWAYS:
-        return False
-    return PartialOrdering.LESS in (m, o, p, f)
+    fell = False
+    for dim in STEP_RULE:
+        rel = dim.cmp(getattr(b, dim.attr), getattr(a, dim.attr))
+        if rel not in dim.allowed:
+            return False
+        fell = fell or rel is PartialOrdering.LESS
+    return fell
 
 
 def check_diphthongal_syllable(onset: Sequence[Marker], rhyme: Sequence[Marker]) -> bool:

@@ -13,6 +13,7 @@ dependency plan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -268,8 +269,9 @@ class StressWeights:
     w_count: float = 1.0
 
     def __post_init__(self):
-        if min(self.w_d, self.w_l, self.w_t, self.w_count) < 0:
-            raise ValueError("stress weights must be nonnegative")
+        weights = (self.w_d, self.w_l, self.w_t, self.w_count)
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("stress weights must be finite and nonnegative")
         if self.w_d == self.w_l == self.w_t == self.w_count == 0:
             raise ValueError("stress weights cannot all be zero")
 

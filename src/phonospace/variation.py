@@ -25,6 +25,7 @@ from .model import (
     admissible_targets,
     following_context_slot,
 )
+from .sonority import _FB_POS, _MANNER_RANK, _OC_RANK, _PLACE_POS
 from .syllabifier import StressClass, Unit
 
 
@@ -45,8 +46,8 @@ class Regime:
     pitch: float = 1.0
 
     def __post_init__(self):
-        if min(self.rate, self.loud, self.pitch) <= 0:
-            raise ValueError("regime factors must be strictly positive")
+        if not all(math.isfinite(f) and f > 0 for f in (self.rate, self.loud, self.pitch)):
+            raise ValueError("regime factors must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,26 @@ _ASSIM_TRIGGER = Marker(Manner.PLOSIVE, FrontBack.BACK, OpenClose.CLOSE, Place.P
 _ASSIM_SRC = Marker(Manner.NASAL, FrontBack.CENTRAL, OpenClose.CLOSE, Place.PAL)
 _ASSIM_DST = Marker(Manner.NASAL, FrontBack.BACK, OpenClose.CLOSE, Place.PAL)
 
-_FB_HEIGHT = {FrontBack.FRONT: 0, FrontBack.FRONT_LIKE: 1, FrontBack.CENTRAL: 2,
-              FrontBack.BACK_LIKE: 1, FrontBack.BACK: 0}
-_FB_SIDE = {FrontBack.FRONT: "f", FrontBack.FRONT_LIKE: "f", FrontBack.CENTRAL: None,
-            FrontBack.BACK_LIKE: "b", FrontBack.BACK: "b"}
-_PLACE_HEIGHT = {Place.VELAR: 0, Place.PAL: 0, Place.UVULAR: 1,
-                 Place.PHARYNGEAL: 2, Place.EPIGLOTTAL: 3, Place.GLOTTAL: 4}
-_MANNER_RANK = {m: i for i, m in enumerate(Manner)}
-_OC_RANK = {o: i for i, o in enumerate(OpenClose)}
+
+def _hasse_distances(pos: Dict[Enum, Tuple[Optional[str], int]]) -> Dict[Tuple[Enum, Enum], int]:
+    """Path lengths between the values of a chain or of two chains joined at the top.
+
+    ``pos`` maps each value to (side, height) as in ``sonority``; values
+    on opposite sides meet at the lowest shared (side None) value.
+    """
+    join = min(h for side, h in pos.values() if side is None)
+    out = {}
+    for a, (sa, ha) in pos.items():
+        for b, (sb, hb) in pos.items():
+            crossed = sa is not None and sb is not None and sa != sb
+            out[a, b] = (join - ha) + (join - hb) if crossed else abs(ha - hb)
+    return out
+
+
+_MANNER_D = _hasse_distances({m: (None, r) for m, r in _MANNER_RANK.items()})
+_OC_D = _hasse_distances({o: (None, r) for o, r in _OC_RANK.items()})
+_FB_D = _hasse_distances(_FB_POS)
+_PLACE_D = _hasse_distances(_PLACE_POS)
 
 
 def ordinal_distance(a: Marker, b: Marker) -> int:
@@ -81,20 +94,8 @@ def ordinal_distance(a: Marker, b: Marker) -> int:
     Incomparable pairs route through their least upper bound (uvular for
     velar vs PAL, the tent top for opposite frontBack sides).
     """
-    d = abs(_MANNER_RANK[a.manner] - _MANNER_RANK[b.manner])
-    d += abs(_OC_RANK[a.open_close] - _OC_RANK[b.open_close])
-    ha, hb = _FB_HEIGHT[a.front_back], _FB_HEIGHT[b.front_back]
-    sa, sb = _FB_SIDE[a.front_back], _FB_SIDE[b.front_back]
-    if sa is not None and sb is not None and sa != sb:
-        d += (2 - ha) + (2 - hb)
-    else:
-        d += abs(ha - hb)
-    pa, pb = _PLACE_HEIGHT[a.place], _PLACE_HEIGHT[b.place]
-    if {a.place, b.place} == {Place.VELAR, Place.PAL}:
-        d += 2
-    else:
-        d += abs(pa - pb)
-    return d
+    return (_MANNER_D[a.manner, b.manner] + _OC_D[a.open_close, b.open_close]
+            + _FB_D[a.front_back, b.front_back] + _PLACE_D[a.place, b.place])
 
 
 def _renormalized(dist: CategoricalDist, exceptions: Dict[Target, float],

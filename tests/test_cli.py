@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -235,3 +236,94 @@ class TestSampleBytes:
         assert code == 0
         argv = ["sample", "-n", "50", "--seed", "7", "--model", model_path]
         assert self.digest(argv) == self.TRAINED
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_train_alpha(self, tmp_path, mini_alphabet, rng, mini_path, bad):
+        corpus = make_corpus(tmp_path, mini_alphabet, rng, n=3)
+        out = tmp_path / "m.json"
+        code, _, err = run(["--alphabet", mini_path, "train", corpus, "--out", str(out),
+                            "--alpha", bad])
+        assert code == 1 and err.startswith("error: ") and "alpha" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_vary_rate(self, tmp_path, mini_alphabet, mini_path, bad):
+        from phonospace import generic_model, save_model
+        model_path, out = str(tmp_path / "g.json"), tmp_path / "v.json"
+        save_model(generic_model(mini_alphabet), model_path)
+        code, _, err = run(["--alphabet", mini_path, "vary", "--model", model_path,
+                            "--transform", "straightening", "--lambda", "1",
+                            "--rate", bad, "--out", str(out)])
+        assert code == 1 and err.startswith("error: ") and "finite" in err
+        assert not out.exists()
+
+    def test_score_stress_weights(self, tmp_path, mini_alphabet, rng, mini_path):
+        from phonospace import generic_model, save_model
+        corpus = make_corpus(tmp_path, mini_alphabet, rng, n=3)
+        model_path = str(tmp_path / "g.json")
+        save_model(generic_model(mini_alphabet), model_path)
+        code, out, err = run(["--alphabet", mini_path, "score", corpus, "--model", model_path,
+                              "--stress-weights", "nan,1,1,1"])
+        assert code == 1 and out == "" and "finite" in err
+
+    def test_score_under_nan_model_exits_three(self, tmp_path, mini_alphabet, rng, mini_path):
+        corpus = make_corpus(tmp_path, mini_alphabet, rng, n=5)
+        model_path = tmp_path / "m.json"
+        assert run(["--alphabet", mini_path, "train", corpus, "--out", str(model_path)])[0] == 0
+        doc = json.loads(model_path.read_text())
+        doc["tables"][0]["floor"] = "nan"
+        model_path.write_text(json.dumps(doc))
+        code, out, err = run(["--alphabet", mini_path, "score", corpus, "--model", str(model_path)])
+        assert code == 3 and out == "" and "non-normalized" in err
+
+
+class TestSampleCounts:
+    def test_negative_n_rejected(self):
+        code, out, err = run(["sample", "-n", "-3"])
+        assert code == 1 and out == "" and err.startswith("error: ") and "-n" in err
+
+    @pytest.mark.parametrize("n", ["0", "2"])
+    def test_max_syllables_rejected_up_front(self, n):
+        code, out, err = run(["sample", "-n", n, "--max-syllables", "0"])
+        assert code == 1 and out == "" and "--max-syllables" in err
+
+    def test_zero_strings_writes_header_only(self):
+        code, out, _ = run(["sample", "-n", "0"])
+        assert code == 0
+        assert out.splitlines()[0] == "# phonospace corpus"
+        assert all(line.startswith("#") for line in out.splitlines())
+
+
+class TestLazyNumpy:
+    SCRIPT = """
+import json, sys
+from phonospace.cli import main
+verbs = json.loads(sys.argv[1])
+loaded = []
+for argv in verbs:
+    code = main(argv)
+    assert code == 0, (argv, code)
+    loaded.append('numpy' in sys.modules)
+print(json.dumps(loaded))
+"""
+
+    def test_only_sample_imports_numpy(self, tmp_path, mini_alphabet, rng, mini_path):
+        import subprocess
+        import sys
+        corpus = make_corpus(tmp_path, mini_alphabet, rng, n=5)
+        model, varied = str(tmp_path / "m.json"), str(tmp_path / "v.json")
+        a = ["--alphabet", mini_path]
+        verbs = [a + ["info"], a + ["train", corpus, "--out", model],
+                 a + ["score", corpus, "--model", model],
+                 a + ["vary", "--model", model, "--transform", "straightening",
+                      "--lambda", "1", "--rate", "2", "--out", varied],
+                 a + ["info", "--model", varied],
+                 a + ["sample", "-n", "2", "--model", model, "--out", str(tmp_path / "s.jsonl")]]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(verbs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 5 + [True]

@@ -532,3 +532,63 @@ class TestFormatV2:
             load_model(text.replace(f'"floor":"{floor!r}"', '"floor":"x"', 1), mini_alphabet)
         with pytest.raises(ModelFormatError, match="unknown model format"):
             load_model(text.replace("phonospace-model-2", "phonospace-model-3"), mini_alphabet)
+
+
+class TestAdmissibilityRows:
+    @pytest.mark.parametrize("which", ["alphabet", "mini_alphabet"])
+    def test_rows_equal_the_predicate(self, which, request, alphabet):
+        from phonospace.model import _AdmissibilityIndex
+        index = _AdmissibilityIndex(request.getfixturevalue(which))
+        # contexts range over every default cell, so the mini index also
+        # answers for markers outside its own alphabet
+        for ctx in alphabet:
+            assert index.away(ctx) == {t for t in index.cells if is_diphthongal_step(ctx, t)}
+            assert index.toward(ctx) == {t for t in index.cells if is_diphthongal_step(t, ctx)}
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_dist_with_non_finite_mass_rejected(self, mini_alphabet, bad):
+        from phonospace.model import Support
+        mm = mini_markers(mini_alphabet)
+        with pytest.raises(ModelFormatError, match="non-normalized"):
+            CategoricalDist([(None, 0.5), (mm["i"], bad)])
+        with pytest.raises(ModelFormatError, match="non-normalized"):
+            CategoricalDist({}, Support([None, mm["i"]]), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_train_rejects_non_finite_alpha(self, mini_alphabet, bad):
+        mm = mini_markers(mini_alphabet)
+        with pytest.raises(ModelError, match="alpha"):
+            train([[ph(mm["Q"]), ph(mm["i"]), ph(mm["Q"])]], alpha=bad, alphabet=mini_alphabet)
+
+    def test_load_rejects_nan(self, mini_alphabet):
+        mm = mini_markers(mini_alphabet)
+        m = train([[ph(mm["Q"]), ph(mm["i"]), ph(mm["Q"])]], alpha=0.01, alphabet=mini_alphabet)
+        buf = io.StringIO()
+        save_model(m, buf)
+        text = buf.getvalue()
+        floor = m.tables[next(iter(m.tables))].floor
+        for bad in (text.replace('"alpha":"0.01"', '"alpha":"nan"'),
+                    text.replace('"alpha":"0.01"', '"alpha":"inf"'),
+                    text.replace(f'"floor":"{floor!r}"', '"floor":"nan"', 1)):
+            assert bad != text
+            with pytest.raises(ModelFormatError):
+                load_model(bad, mini_alphabet)
+
+    def test_load_rejects_non_finite_limits(self, mini_alphabet):
+        # json.loads reads the NaN literal; NaN limits made every score -inf
+        import json
+        m = generic_model(mini_alphabet)
+        buf = io.StringIO()
+        save_model(m, buf)
+        doc = json.loads(buf.getvalue())
+        doc["limits"]["R"][0] = math.nan
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(json.dumps(doc), mini_alphabet)
+
+    def test_stress_weights_must_be_finite(self):
+        from phonospace import StressWeights
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                StressWeights(w_t=bad)

@@ -213,3 +213,20 @@ class TestDriftReport:
         other = generic_model(alphabet)
         with pytest.raises(ModelError):
             drift_report(trained, other)
+
+
+class TestNonFiniteRegime:
+    @pytest.mark.parametrize("field", ["rate", "loud", "pitch"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Regime(**{field: bad})
+
+
+def test_ordinal_distance_routes_incomparables_through_the_top(mk):
+    # front/back meet at central (2 + 2); velar/PAL meet at uvular (1 + 1)
+    a = mk("vowel:front:close:velar")
+    b = mk("vowel:back:close:palatAlveoLabial")
+    assert ordinal_distance(a, b) == 4 + 2
+    c = mk("closure:frontLike:open:glottal")
+    assert ordinal_distance(a, c) == 5 + 1 + 6 + 4
