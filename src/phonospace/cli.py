@@ -28,6 +28,7 @@ from .model import (
     score,
     train,
 )
+from .prng import Pcg64
 from .syllabifier import InvalidPhoneString, StressWeights, parse_and_plan, string_violations
 from .variation import Regime, TransformKind, TransformSpec, apply as apply_transform
 
@@ -158,14 +159,12 @@ def cmd_sample(args) -> int:
         raise ValueError(f"-n must be nonnegative, got {args.n}")
     if args.max_syllables < 1:
         raise ValueError(f"--max-syllables must be at least 1, got {args.max_syllables}")
-    import numpy as np  # only sampling draws random numbers
-
     alphabet = _load_alphabet(args)
     if args.model:
         model = load_model(args.model, alphabet)
     else:
         model = generic_model(alphabet, epsilon=args.epsilon)
-    rng = np.random.default_rng(args.seed)
+    rng = Pcg64(args.seed)
     strings = [
         sample_with_rng(model, args.max_syllables, rng, _weights(args))
         for _ in range(args.n)

@@ -9,10 +9,11 @@ files only and are rejected in transcriptions.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
 
-from .alphabet import Marker, Phone, ProsodicVector
+from .alphabet import Marker, Phone, ProsodicVector, UnknownSymbolError
 
 
 class CorpusFormatError(ValueError):
@@ -43,6 +44,10 @@ def phone_to_record(phone: Phone) -> dict:
     return rec
 
 
+_PROSODY_FIELDS = ("R", "N", "V", "T", "D", "L")
+_FLOAT_MAX = sys.float_info.max
+
+
 def phone_from_record(rec: dict, line: Optional[int] = None) -> Phone:
     if not isinstance(rec, dict):
         raise CorpusFormatError("phone record must be a JSON object", line)
@@ -50,16 +55,23 @@ def phone_from_record(rec: dict, line: Optional[int] = None) -> Phone:
         raise CorpusFormatError("null phones do not occur in transcriptions", line)
     try:
         marker = Marker.from_ascii(f"{rec['m']}:{rec['fb']}:{rec['oc']}:{rec['pl']}")
-        prosody = ProsodicVector(
-            R=int(rec["R"]), N=int(rec["N"]), V=int(rec["V"]),
-            T=int(rec["T"]), D=int(rec["D"]), L=int(rec["L"]),
-        )
+        values = {name: rec[name] for name in _PROSODY_FIELDS}
+    except UnknownSymbolError as exc:
+        raise CorpusFormatError(exc.args[0], line) from None
     except KeyError as exc:
         raise CorpusFormatError(f"phone record missing field {exc}", line) from None
-    except (TypeError, ValueError) as exc:
+    for name, value in values.items():
+        if type(value) is not int:  # JSON true/false load as bool, an int subclass
+            raise CorpusFormatError(f"field {name!r} must be an integer, got {value!r}", line)
+    try:
+        prosody = ProsodicVector(**values)
+    except ValueError as exc:
         raise CorpusFormatError(str(exc), line) from None
     t0 = rec.get("t0")
     if t0 is not None:
+        # the comparison also rejects NaN and integers too large for a float
+        if type(t0) not in (int, float) or not abs(t0) <= _FLOAT_MAX:
+            raise CorpusFormatError(f"field 't0' must be a finite number, got {t0!r}", line)
         t0 = float(t0)
     return Phone(marker, prosody, t0)
 

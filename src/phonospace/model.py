@@ -24,7 +24,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
 
 from .alphabet import (
@@ -36,7 +36,8 @@ from .alphabet import (
     ProsodicVector,
     QuantizationConfig,
 )
-from .sonority import STEP_RULE, PartialOrdering, StepDimension
+from .prng import Pcg64, Rng
+from .sonority import DISTANCES, STEP_RULE, PartialOrdering, StepDimension
 from .syllabifier import (
     InvalidPhoneString,
     PhoneString,
@@ -52,9 +53,6 @@ from .syllabifier import (
     string_violations,
     validate_string,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Target = Optional[Marker]  # None is the null phone
 
@@ -192,7 +190,7 @@ class CategoricalDist:
         keys = set(self.support()) | set(other.support())
         return 0.5 * sum(abs(self.prob(t) - other.prob(t)) for t in keys)
 
-    def sample(self, rng: np.random.Generator) -> Target:
+    def sample(self, rng: Rng) -> Target:
         if self._cum is None:
             self._cum = list(accumulate(p for _, p in self.entries))
         targets = self._support.targets
@@ -223,13 +221,17 @@ class ProsodicLimits:
     def __post_init__(self):
         for name in ("R", "T", "D", "L"):
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{name} interval has a non-finite bound")
+            for bound in (lo, hi):
+                if isinstance(bound, float) and not math.isfinite(bound):
+                    raise ValueError(f"{name} interval has a non-finite bound")
+                # log_mass counts hi - lo + 1 values, which only integer bounds make a count
+                if type(bound) is not int:  # bool is an int subclass
+                    raise ValueError(f"{name} interval has a non-integer bound {bound!r}")
             if lo > hi:
                 raise ValueError(f"{name} interval has lo > hi")
         for name in ("N", "V"):
             allowed = frozenset(getattr(self, name))
-            if not allowed or not allowed <= {0, 1}:
+            if not allowed or not allowed <= {0, 1} or not all(type(b) is int for b in allowed):
                 raise ValueError(f"{name} must allow a nonempty subset of {{0,1}}")
             object.__setattr__(self, name, allowed)
 
@@ -337,6 +339,9 @@ class _AdmissibilityIndex:
             self._toward_classes.append((dim.attr, toward))
         self._away: Dict[Marker, frozenset] = {}
         self._toward: Dict[Marker, frozenset] = {}
+        # per dimension, value -> its distance to each cell; built on first use
+        self._dimension_rows: Optional[List[Tuple[str, Dict[object, List[int]]]]] = None
+        self._distances: Dict[Marker, Tuple[int, ...]] = {}
 
     def away(self, ctx: Marker) -> frozenset:
         """Cells t with ``is_diphthongal_step(ctx, t)``."""
@@ -350,6 +355,18 @@ class _AdmissibilityIndex:
         got = self._toward.get(ctx)
         if got is None:
             got = self._toward[ctx] = _row(ctx, self._toward_classes)
+        return got
+
+    def distances(self, ctx: Marker) -> Tuple[int, ...]:
+        """``variation.ordinal_distance(ctx, t)`` for every cell t, in canonical order."""
+        got = self._distances.get(ctx)
+        if got is None:
+            if self._dimension_rows is None:
+                self._dimension_rows = [
+                    (attr, {v: [to[getattr(c, attr)] for c in self.cells] for v, to in table.items()})
+                    for attr, table in DISTANCES]
+            rows = [by_value[getattr(ctx, attr)] for attr, by_value in self._dimension_rows]
+            got = self._distances[ctx] = tuple(map(sum, zip(*rows)))
         return got
 
 
@@ -636,7 +653,7 @@ class _Resample(Exception):
 _CLOSURE = Manner.CLOSURE
 
 
-def _draw_prosody(limits: ProsodicLimits, rng: np.random.Generator) -> ProsodicVector:
+def _draw_prosody(limits: ProsodicLimits, rng: Rng) -> ProsodicVector:
     def iv(name):
         lo, hi = getattr(limits, name)
         return int(rng.integers(lo, hi + 1))
@@ -649,7 +666,7 @@ def _draw_prosody(limits: ProsodicLimits, rng: np.random.Generator) -> ProsodicV
 
 
 def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
-                     rng: np.random.Generator) -> List[Marker]:
+                     rng: Rng) -> List[Marker]:
     """Realize one string's markers in dependency order.
 
     Junction closures are generated by the unique syllable whose scheme
@@ -770,7 +787,7 @@ def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
 def sample_with_rng(
     model: LanguageModel,
     max_syllables: int,
-    rng: np.random.Generator,
+    rng: Rng,
     weights: StressWeights = StressWeights(),
     max_retries: int = 500,
 ) -> PhoneString:
@@ -802,10 +819,8 @@ def sample(
     seed: int = 0,
     weights: StressWeights = StressWeights(),
 ) -> PhoneString:
-    """Deterministic single-string sample for a seed (PCG64 stream)."""
-    import numpy as np
-
-    return sample_with_rng(model, max_syllables, np.random.default_rng(seed), weights)
+    """Deterministic single-string sample for a seed (numpy's PCG64 stream)."""
+    return sample_with_rng(model, max_syllables, Pcg64(seed), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -842,21 +857,31 @@ def _target_from_json(obj, alphabet: Alphabet) -> Target:
 def model_to_json(model: LanguageModel) -> dict:
     q = model.quantization
     full = _index_for(model.alphabet).support.targets
+    position = {t: i for i, t in enumerate(full)}
+    as_json: Dict[Target, dict] = {}  # each target's object, built once
+
+    def target_json(t: Target) -> dict:
+        got = as_json.get(t)
+        if got is None:
+            got = as_json[t] = _target_to_json(t)
+        return got
+
     tables = []
     for key in sorted(model.tables, key=CondKey.sort_key):
         d = model.dist(key)  # through the transform stack
         entry = {
             "key": {
                 "unit": key.unit.value, "stress": key.stress.value,
-                "context": [_target_to_json(c) for c in key.context],
+                "context": [target_json(c) for c in key.context],
             },
         }
         if d.support() == full:
-            listed = sorted(d.exceptions.items(), key=lambda e: _target_sort_key(e[0]))
-            entry["dist"] = [[_target_to_json(t), repr(p)] for t, p in listed]
+            exc = d.exceptions
+            listed = sorted(exc, key=position.__getitem__)  # canonical order
+            entry["dist"] = [[target_json(t), repr(exc[t])] for t in listed]
             entry["floor"] = repr(d.floor)
         else:
-            entry["dist"] = [[_target_to_json(t), repr(p)] for t, p in d.entries]
+            entry["dist"] = [[target_json(t), repr(p)] for t, p in d.entries]
         tables.append(entry)
     return {
         "format": FORMAT_VERSION,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .alphabet import FrontBack, Manner, Marker, OpenClose, Place
 
@@ -54,6 +54,30 @@ _PLACE_POS = {
     Place.UVULAR: (None, 1), Place.PHARYNGEAL: (None, 2),
     Place.EPIGLOTTAL: (None, 3), Place.GLOTTAL: (None, 4),
 }
+
+
+def _path_lengths(pos: Dict[Enum, Tuple[Optional[str], int]]) -> Dict[Enum, Dict[Enum, int]]:
+    """Path lengths between the values of a chain or of two chains joined at the top.
+
+    ``pos`` maps each value to (side, height) as above; values on
+    opposite sides meet at the lowest shared (side None) value.
+    """
+    join = min(h for side, h in pos.values() if side is None)
+    return {a: {b: (join - ha) + (join - hb) if sa is not None and sb is not None and sa != sb
+                else abs(ha - hb)
+                for b, (sb, hb) in pos.items()}
+            for a, (sa, ha) in pos.items()}
+
+
+# Per dimension (Marker field), the Hasse-graph path length between any
+# two of its values; incomparable values route through their least upper
+# bound. Their sum over the dimensions is the ordinal distance of markers.
+DISTANCES = (
+    ("manner", _path_lengths({m: (None, r) for m, r in _MANNER_RANK.items()})),
+    ("open_close", _path_lengths({o: (None, r) for o, r in _OC_RANK.items()})),
+    ("front_back", _path_lengths(_FB_POS)),
+    ("place", _path_lengths(_PLACE_POS)),
+)
 
 
 def _from_ranks(a: int, b: int) -> PartialOrdering:

@@ -22,10 +22,11 @@ from .model import (
     LanguageModel,
     ModelError,
     Target,
+    _index_for,
     admissible_targets,
     following_context_slot,
 )
-from .sonority import _FB_POS, _MANNER_RANK, _OC_RANK, _PLACE_POS
+from .sonority import DISTANCES
 from .syllabifier import StressClass, Unit
 
 
@@ -67,35 +68,13 @@ _ASSIM_SRC = Marker(Manner.NASAL, FrontBack.CENTRAL, OpenClose.CLOSE, Place.PAL)
 _ASSIM_DST = Marker(Manner.NASAL, FrontBack.BACK, OpenClose.CLOSE, Place.PAL)
 
 
-def _hasse_distances(pos: Dict[Enum, Tuple[Optional[str], int]]) -> Dict[Tuple[Enum, Enum], int]:
-    """Path lengths between the values of a chain or of two chains joined at the top.
-
-    ``pos`` maps each value to (side, height) as in ``sonority``; values
-    on opposite sides meet at the lowest shared (side None) value.
-    """
-    join = min(h for side, h in pos.values() if side is None)
-    out = {}
-    for a, (sa, ha) in pos.items():
-        for b, (sb, hb) in pos.items():
-            crossed = sa is not None and sb is not None and sa != sb
-            out[a, b] = (join - ha) + (join - hb) if crossed else abs(ha - hb)
-    return out
-
-
-_MANNER_D = _hasse_distances({m: (None, r) for m, r in _MANNER_RANK.items()})
-_OC_D = _hasse_distances({o: (None, r) for o, r in _OC_RANK.items()})
-_FB_D = _hasse_distances(_FB_POS)
-_PLACE_D = _hasse_distances(_PLACE_POS)
-
-
 def ordinal_distance(a: Marker, b: Marker) -> int:
     """Hasse-graph path length between two markers, summed per dimension.
 
     Incomparable pairs route through their least upper bound (uvular for
     velar vs PAL, the tent top for opposite frontBack sides).
     """
-    return (_MANNER_D[a.manner, b.manner] + _OC_D[a.open_close, b.open_close]
-            + _FB_D[a.front_back, b.front_back] + _PLACE_D[a.place, b.place])
+    return sum(table[getattr(a, attr)][getattr(b, attr)] for attr, table in DISTANCES)
 
 
 def _renormalized(dist: CategoricalDist, exceptions: Dict[Target, float],
@@ -183,13 +162,14 @@ class AppliedTransform:
         contexts = [c for c in key.context if c is not None]
         if not contexts:
             return dist
-        probs: Dict[Target, float] = {}
-        for t, p in dist.entries:
-            if t is None:
-                d = 0.0  # deletion is the maximal shortening
-            else:
-                d = sum(ordinal_distance(c, t) for c in contexts) / len(contexts)
-            probs[t] = p * math.exp(-(beta - 1.0) * d)
+        index = _index_for(model.alphabet)
+        n = len(contexts)
+        # per cell, the summed distance to the contexts; one exp per distinct sum
+        sums = list(map(sum, zip(*(index.distances(c) for c in contexts))))
+        factor = {s: math.exp(-(beta - 1.0) * (s / n)) for s in set(sums)}
+        weight = dict(zip(index.cells, map(factor.__getitem__, sums)))
+        # the null phone (deletion, the maximal shortening) is at distance 0
+        probs = {t: p * (1.0 if t is None else weight[t]) for t, p in dist.entries}
         total = sum(probs.values())
         if total <= 0.0:
             return dist

@@ -279,6 +279,19 @@ class TestNonFiniteArguments:
         assert code == 3 and out == "" and "non-normalized" in err
 
 
+class TestFractionalLimits:
+    def test_score_exits_three(self, tmp_path, mini_alphabet, rng, mini_path):
+        from phonospace import generic_model, save_model
+        corpus = make_corpus(tmp_path, mini_alphabet, rng, n=3)
+        model_path = tmp_path / "g.json"
+        save_model(generic_model(mini_alphabet), str(model_path))
+        doc = json.loads(model_path.read_text())
+        doc["limits"]["R"] = [-64.5, 64]
+        model_path.write_text(json.dumps(doc))
+        code, out, err = run(["--alphabet", mini_path, "score", corpus, "--model", str(model_path)])
+        assert code == 3 and out == "" and "non-integer" in err
+
+
 class TestSampleCounts:
     def test_negative_n_rejected(self):
         code, out, err = run(["sample", "-n", "-3"])
@@ -309,7 +322,7 @@ for argv in verbs:
 print(json.dumps(loaded))
 """
 
-    def test_only_sample_imports_numpy(self, tmp_path, mini_alphabet, rng, mini_path):
+    def test_no_verb_imports_numpy(self, tmp_path, mini_alphabet, rng, mini_path):
         import subprocess
         import sys
         corpus = make_corpus(tmp_path, mini_alphabet, rng, n=5)
@@ -326,4 +339,4 @@ print(json.dumps(loaded))
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(verbs)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 5 + [True]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 6

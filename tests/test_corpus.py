@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 
@@ -70,3 +71,37 @@ class TestStream:
             write_corpus([[p, p]], buf, header_lines=["seed: 1"])
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+GOOD = {"m": "vowel", "fb": "front", "oc": "close", "pl": "glottal",
+        "R": 0, "N": 0, "V": 1, "T": 3, "D": 0, "L": 0}
+BAD_FIELDS = [("R", -6.9), ("R", 3.0), ("T", "3"), ("N", True), ("D", None),
+              ("t0", "abc"), ("t0", True), ("t0", float("nan")), ("t0", float("inf")),
+              ("m", "tap")]
+
+
+class TestStrictRecords:
+    """Values a record may not carry: each is a format error at its line."""
+
+    @staticmethod
+    def corpus_text(field, value):
+        bad = {**GOOD, field: value}
+        return "# c\n" + json.dumps(GOOD) + "\n" + json.dumps(bad) + "\n"
+
+    @pytest.mark.parametrize("field,value", BAD_FIELDS)
+    def test_read_raises_located_error(self, field, value):
+        with pytest.raises(CorpusFormatError, match="^line 3: ") as info:
+            list(read_corpus(io.StringIO(self.corpus_text(field, value))))
+        assert "missing field" not in str(info.value)
+        assert (field if field != "m" else "tap") in str(info.value)
+
+    @pytest.mark.parametrize("field,value", BAD_FIELDS)
+    def test_cli_exits_three(self, tmp_path, field, value):
+        from phonospace.cli import main
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.corpus_text(field, value))
+        assert main(["validate", str(path)]) == 3
+
+    def test_integral_values_still_read(self):
+        phone = phone_from_record({**GOOD, "R": -6, "t0": 2})
+        assert phone.prosody.R == -6 and phone.t0 == 2.0

@@ -592,3 +592,25 @@ class TestNonFinite:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 StressWeights(w_t=bad)
+
+
+class TestIntegerLimits:
+    @pytest.mark.parametrize("bad", [-64.5, True, "-64"])
+    def test_interval_bounds_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="non-integer"):
+            ProsodicLimits(R=(bad, 64))
+
+    @pytest.mark.parametrize("bad", [[1.0], [True], [0, "1"]])
+    def test_bit_sets_must_hold_integers(self, bad):
+        with pytest.raises(ValueError, match="subset"):
+            ProsodicLimits(N=frozenset(bad))
+
+    def test_load_rejects_fractional_bound(self, mini_alphabet):
+        # "R":[-64.5,64] used to load and count 129.5 values per phone
+        import json
+        buf = io.StringIO()
+        save_model(generic_model(mini_alphabet), buf)
+        doc = json.loads(buf.getvalue())
+        doc["limits"]["R"] = [-64.5, 64]
+        with pytest.raises(ModelFormatError, match="non-integer"):
+            load_model(json.dumps(doc), mini_alphabet)

@@ -230,3 +230,35 @@ def test_ordinal_distance_routes_incomparables_through_the_top(mk):
     assert ordinal_distance(a, b) == 4 + 2
     c = mk("closure:frontLike:open:glottal")
     assert ordinal_distance(a, c) == 5 + 1 + 6 + 4
+
+
+def test_distance_rows_equal_ordinal_distance(alphabet, mini_alphabet):
+    from phonospace.model import _AdmissibilityIndex
+    index = _AdmissibilityIndex(mini_alphabet)
+    # contexts range over every default cell, targets over the mini cells
+    for ctx in alphabet:
+        assert index.distances(ctx) == tuple(ordinal_distance(ctx, t) for t in index.cells)
+
+
+@pytest.mark.parametrize("rate", [0.6, 2.0])
+def test_straightening_equals_per_target_reference(trained, alphabet, rate):
+    import math
+    lam = 0.8
+    beta = 1.0 + lam * (rate - 1.0)
+    spec = TransformSpec(TransformKind.STRAIGHTENING, lam)
+    cells = list(alphabet)
+    generic = generic_model(alphabet)
+    cases = [(trained, list(trained.tables)),
+             (generic, [CondKey(Unit.NUCLEUS, U, (cells[5], cells[200])),
+                        CondKey(Unit.RHYME, S, (cells[100],)),
+                        CondKey(Unit.NUCLEUS, U, (None, cells[300]))])]
+    for model, keys in cases:
+        varied = apply(model, Regime(rate=rate), spec)
+        for key in keys:
+            contexts = [c for c in key.context if c is not None]
+            probs = {}
+            for t, p in model.dist(key).entries:
+                d = 0.0 if t is None else sum(ordinal_distance(c, t) for c in contexts) / len(contexts)
+                probs[t] = p * math.exp(-(beta - 1.0) * d)
+            total = sum(probs.values())
+            assert varied.dist(key).entries == tuple((t, p / total) for t, p in probs.items())
