@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -119,6 +119,17 @@ class Marker(NamedTuple):
 
     def __repr__(self) -> str:  # compact, round-trippable through from_ascii
         return f"Marker({self.to_ascii()})"
+
+
+def marker_to_record(marker: Marker) -> dict:
+    """The marker's attributes under the record keys of corpus and model files."""
+    return {"m": marker.manner.value, "fb": marker.front_back.value,
+            "oc": marker.open_close.value, "pl": marker.place.value}
+
+
+def marker_from_record(rec: dict) -> Marker:
+    """Inverse of marker_to_record: KeyError for a missing key, UnknownSymbolError for a bad value."""
+    return Marker.from_ascii(f"{rec['m']}:{rec['fb']}:{rec['oc']}:{rec['pl']}")
 
 
 MAX_ABS_UNITS = 64
@@ -321,9 +332,16 @@ class QuantizationConfig:
     max_abs_units: int = MAX_ABS_UNITS
 
     def __post_init__(self):
-        for name in ("reference_duration_sec", "reference_pitch_hz", "reference_loudness"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float:  # references
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"{f.name} must be finite and strictly positive, got {value!r}")
+            elif type(value) is not int or value < 1:  # unit counts; bool is an int subclass
+                raise ValueError(f"{f.name} must be an integer of at least 1, got {value!r}")
+        # a prosodic vector holds at most MAX_ABS_UNITS per dimension
+        if self.max_abs_units > MAX_ABS_UNITS:
+            raise ValueError(f"max_abs_units must be at most {MAX_ABS_UNITS}, got {self.max_abs_units}")
 
 
 DEFAULT_QUANTIZATION = QuantizationConfig()

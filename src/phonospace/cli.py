@@ -22,6 +22,7 @@ from .model import (
     ModelError,
     ModelFormatError,
     generic_model,
+    limits_to_json,
     load_model,
     sample_with_rng,
     save_model,
@@ -203,11 +204,7 @@ def cmd_info(args) -> int:
             "keys": len(model.tables),
             "epsilon": model.epsilon,
             "alpha": model.alpha,
-            "limits": {
-                "R": list(model.limits.R), "T": list(model.limits.T),
-                "D": list(model.limits.D), "L": list(model.limits.L),
-                "N": sorted(model.limits.N), "V": sorted(model.limits.V),
-            },
+            "limits": limits_to_json(model.limits),
         }
     print(json.dumps(doc, indent=2))
     return EXIT_OK

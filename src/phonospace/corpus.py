@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
 
-from .alphabet import Marker, Phone, ProsodicVector, UnknownSymbolError
+from .alphabet import Phone, ProsodicVector, UnknownSymbolError, marker_from_record, marker_to_record
 
 
 class CorpusFormatError(ValueError):
@@ -32,13 +32,9 @@ class CorpusString:
 def phone_to_record(phone: Phone) -> dict:
     if phone.is_null:
         return {"null": True}
-    m = phone.marker
     pv = phone.prosody
-    rec = {
-        "m": m.manner.value, "fb": m.front_back.value,
-        "oc": m.open_close.value, "pl": m.place.value,
-        "R": pv.R, "N": pv.N, "V": pv.V, "T": pv.T, "D": pv.D, "L": pv.L,
-    }
+    rec = marker_to_record(phone.marker)
+    rec.update(R=pv.R, N=pv.N, V=pv.V, T=pv.T, D=pv.D, L=pv.L)
     if phone.t0 is not None:
         rec["t0"] = phone.t0
     return rec
@@ -54,7 +50,7 @@ def phone_from_record(rec: dict, line: Optional[int] = None) -> Phone:
     if rec.get("null"):
         raise CorpusFormatError("null phones do not occur in transcriptions", line)
     try:
-        marker = Marker.from_ascii(f"{rec['m']}:{rec['fb']}:{rec['oc']}:{rec['pl']}")
+        marker = marker_from_record(rec)
         values = {name: rec[name] for name in _PROSODY_FIELDS}
     except UnknownSymbolError as exc:
         raise CorpusFormatError(exc.args[0], line) from None

@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
 
 from .alphabet import (
@@ -35,6 +35,8 @@ from .alphabet import (
     Phone,
     ProsodicVector,
     QuantizationConfig,
+    marker_from_record,
+    marker_to_record,
 )
 from .prng import Pcg64, Rng
 from .sonority import DISTANCES, STEP_RULE, PartialOrdering, StepDimension
@@ -45,13 +47,7 @@ from .syllabifier import (
     StressWeights,
     Unit,
     Factor,
-    classify_stress,
-    collapse_repeats,
-    dependency_plan,
-    parse_syllables,
-    stress_score,
-    string_violations,
-    validate_string,
+    parse_and_plan,
 )
 
 Target = Optional[Marker]  # None is the null phone
@@ -258,6 +254,12 @@ class ProsodicLimits:
         return out
 
 
+def limits_to_json(limits: ProsodicLimits) -> dict:
+    """The limits as saved in a model file and shown by ``info``."""
+    return {"R": list(limits.R), "T": list(limits.T), "D": list(limits.D), "L": list(limits.L),
+            "N": sorted(limits.N), "V": sorted(limits.V)}
+
+
 # ---------------------------------------------------------------------------
 # direction structure of the factor schemes
 
@@ -400,23 +402,6 @@ def admissible_targets(alphabet: Alphabet, key: CondKey) -> frozenset:
     return out
 
 
-class _LRU:
-    def __init__(self, maxsize: int = 8192):
-        self._data: OrderedDict = OrderedDict()
-        self._maxsize = maxsize
-
-    def get(self, key):
-        got = self._data.get(key)
-        if got is not None:
-            self._data.move_to_end(key)
-        return got
-
-    def put(self, key, value):
-        self._data[key] = value
-        if len(self._data) > self._maxsize:
-            self._data.popitem(last=False)
-
-
 @dataclass(eq=False)
 class LanguageModel:
     alphabet: Alphabet
@@ -426,7 +411,12 @@ class LanguageModel:
     limits: ProsodicLimits
     quantization: QuantizationConfig = DEFAULT_QUANTIZATION
     transforms: Tuple = ()  # applied lazily, in order, by dist()
-    _cache: _LRU = field(default_factory=_LRU, repr=False)
+    _memo: Callable[[CondKey], CategoricalDist] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # per instance, so a copy made by dataclasses.replace starts empty;
+        # perfbench/run.py's DIST_CACHE_SIZE restates the bound
+        self._memo = lru_cache(maxsize=8192)(self._build)
 
     @property
     def alphabet_version(self) -> str:
@@ -449,15 +439,14 @@ class LanguageModel:
 
     def dist(self, key: CondKey) -> CategoricalDist:
         """Stored table entry or generic fallback, through the transform stack."""
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        return self._memo(key)
+
+    def _build(self, key: CondKey) -> CategoricalDist:
         d = self.tables.get(key)
         if d is None:
             d = self.generic_dist(key)
         for tr in self.transforms:
             d = tr.apply(self, key, d)
-        self._cache.put(key, d)
         return d
 
 
@@ -487,27 +476,13 @@ def factor_key(s: PhoneString, factor: Factor) -> Tuple[CondKey, Marker]:
     return CondKey(factor.unit, factor.stress, ctx), s.phones[factor.target].marker
 
 
-def _prepare(model: LanguageModel, s, weights: StressWeights):
-    if isinstance(s, PhoneString):
-        phones = s.phones
-    else:
-        phones = tuple(s)
-    validated = validate_string(phones, model.alphabet)
-    collapsed = collapse_repeats(validated, model.quantization)
-    parse = parse_syllables(collapsed)
-    scores = [stress_score(sy, collapsed, weights, model.quantization) for sy in parse.syllables]
-    classes = classify_stress(parse.syllables, scores)
-    plan = dependency_plan(parse, classes)
-    return collapsed, parse, classes, plan
-
-
 def score(model: LanguageModel, s, weights: StressWeights = StressWeights()) -> float:
     """Log-probability of a phone string as a product of conditionals.
 
     Returns -inf when any factor's target has zero probability or any
     prosodic value falls outside the model's limits.
     """
-    collapsed, _parse, _classes, plan = _prepare(model, s, weights)
+    collapsed, *_, plan = parse_and_plan(s, model.alphabet, weights, model.quantization)
     logp = 0.0
     for f in plan.factors:
         key, target = factor_key(collapsed, f)
@@ -568,7 +543,6 @@ def train(
     if alphabet is None:
         from .alphabet import default_alphabet
         alphabet = default_alphabet()
-    base = generic_model(alphabet, epsilon, quantization=quantization)
     counts: Dict[CondKey, Counter] = {}
     seen_phones: List[Phone] = []
     n_strings = 0
@@ -576,7 +550,7 @@ def train(
         phones = getattr(item, "phones", item)
         line = getattr(item, "line", None)
         try:
-            collapsed, _parse, _classes, plan = _prepare(base, phones, weights)
+            collapsed, *_, plan = parse_and_plan(phones, alphabet, weights, quantization)
         except InvalidPhoneString as exc:
             if skip_invalid:
                 continue
@@ -803,12 +777,12 @@ def sample_with_rng(
         except _Resample:
             continue
         phones = [Phone(m, _draw_prosody(model.limits, rng)) for m in markers]
-        if string_violations(phones, model.alphabet):
+        try:
+            collapsed, _parse, _scores, got, _plan = parse_and_plan(
+                phones, model.alphabet, weights, model.quantization)
+        except InvalidPhoneString:
             continue
-        collapsed = collapse_repeats(PhoneString(tuple(phones)), model.quantization)
-        parse = parse_syllables(collapsed)
-        scores = [stress_score(sy, collapsed, weights, model.quantization) for sy in parse.syllables]
-        if classify_stress(parse.syllables, scores) == list(classes):
+        if got == list(classes):
             return collapsed
     raise SampleError(f"retry budget exhausted after {max_retries} attempts")
 
@@ -831,20 +805,13 @@ FORMAT_VERSION = "phonospace-model-2"
 READABLE_FORMATS = ("phonospace-model-1", FORMAT_VERSION)
 
 
-def _target_to_json(t: Target):
-    if t is None:
-        return {"null": True}
-    return {"m": t.manner.value, "fb": t.front_back.value,
-            "oc": t.open_close.value, "pl": t.place.value}
-
-
 def _target_from_json(obj, alphabet: Alphabet) -> Target:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"bad target entry: {obj!r}")
     if obj.get("null"):
         return None
     try:
-        marker = Marker.from_ascii(f"{obj['m']}:{obj['fb']}:{obj['oc']}:{obj['pl']}")
+        marker = marker_from_record(obj)
     except KeyError as exc:
         raise ModelFormatError(f"target entry missing field {exc}") from None
     except Exception as exc:
@@ -863,7 +830,7 @@ def model_to_json(model: LanguageModel) -> dict:
     def target_json(t: Target) -> dict:
         got = as_json.get(t)
         if got is None:
-            got = as_json[t] = _target_to_json(t)
+            got = as_json[t] = {"null": True} if t is None else marker_to_record(t)
         return got
 
     tables = []
@@ -888,21 +855,10 @@ def model_to_json(model: LanguageModel) -> dict:
         "alphabet_version": model.alphabet_version,
         "epsilon": repr(model.epsilon),
         "alpha": repr(model.alpha),
-        "quantization": {
-            "reference_duration_sec": repr(q.reference_duration_sec),
-            "reference_pitch_hz": repr(q.reference_pitch_hz),
-            "reference_loudness": repr(q.reference_loudness),
-            "units_per_octave_d": q.units_per_octave_d,
-            "units_per_octave_t": q.units_per_octave_t,
-            "units_per_decade_l": q.units_per_decade_l,
-            "units_per_nat_r": q.units_per_nat_r,
-            "max_abs_units": q.max_abs_units,
-        },
-        "limits": {
-            "R": list(model.limits.R), "T": list(model.limits.T),
-            "D": list(model.limits.D), "L": list(model.limits.L),
-            "N": sorted(model.limits.N), "V": sorted(model.limits.V),
-        },
+        # float fields as repr strings (exact round trip), integer fields as JSON integers
+        "quantization": {f.name: repr(getattr(q, f.name)) if type(f.default) is float
+                         else getattr(q, f.name) for f in fields(q)},
+        "limits": limits_to_json(model.limits),
         "tables": tables,
     }
 
@@ -945,16 +901,9 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
         epsilon = float(obj["epsilon"])
         alpha = float(obj["alpha"])
         qj = obj["quantization"]
-        quantization = QuantizationConfig(
-            reference_duration_sec=float(qj["reference_duration_sec"]),
-            reference_pitch_hz=float(qj["reference_pitch_hz"]),
-            reference_loudness=float(qj["reference_loudness"]),
-            units_per_octave_d=int(qj["units_per_octave_d"]),
-            units_per_octave_t=int(qj["units_per_octave_t"]),
-            units_per_decade_l=int(qj["units_per_decade_l"]),
-            units_per_nat_r=int(qj["units_per_nat_r"]),
-            max_abs_units=int(qj["max_abs_units"]),
-        )
+        quantization = QuantizationConfig(**{
+            f.name: float(qj[f.name]) if type(f.default) is float else qj[f.name]
+            for f in fields(QuantizationConfig)})
         lj = obj["limits"]
         limits = ProsodicLimits(
             R=tuple(lj["R"]), T=tuple(lj["T"]), D=tuple(lj["D"]), L=tuple(lj["L"]),

@@ -433,13 +433,17 @@ def dependency_plan(parse: SyllableParse, classes: Sequence[StressClass]) -> Dep
 
 
 def parse_and_plan(
-    phones: Sequence[Phone],
+    phones: Iterable[Phone],
     alphabet: Optional[Alphabet] = None,
     weights: StressWeights = StressWeights(),
     cfg: QuantizationConfig = DEFAULT_QUANTIZATION,
 ):
-    """validate -> collapse -> parse -> score -> classify -> plan, in one call."""
-    s = collapse_repeats(validate_string(phones, alphabet), cfg)
+    """validate -> collapse -> parse -> score -> classify -> plan, for any iterable of phones."""
+    phones = tuple(phones)
+    violations = string_violations(phones, alphabet)
+    if violations:
+        raise InvalidPhoneString(violations)
+    s = collapse_repeats(PhoneString(phones), cfg)
     parse = parse_syllables(s)
     scores = [stress_score(sy, s, weights, cfg) for sy in parse.syllables]
     classes = classify_stress(parse.syllables, scores)

@@ -11,7 +11,7 @@ regime of all ones, is the identity for every kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -179,12 +179,7 @@ class AppliedTransform:
 
 def apply(model: LanguageModel, regime: Regime, spec: TransformSpec) -> LanguageModel:
     """New model whose distributions pass through one more transform."""
-    return LanguageModel(
-        alphabet=model.alphabet, tables=model.tables,
-        epsilon=model.epsilon, alpha=model.alpha,
-        limits=model.limits, quantization=model.quantization,
-        transforms=model.transforms + (AppliedTransform(spec, regime),),
-    )
+    return replace(model, transforms=model.transforms + (AppliedTransform(spec, regime),))
 
 
 def drift_report(

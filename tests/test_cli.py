@@ -340,3 +340,21 @@ print(json.dumps(loaded))
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 6
+
+
+class TestQuantizationChecks:
+    # each used to score with exit 0, or (a zero unit count) to crash with a traceback
+    @pytest.mark.parametrize("name,bad", [
+        ("units_per_octave_d", 12.7), ("max_abs_units", "64"), ("units_per_octave_d", 0),
+        ("max_abs_units", -3), ("reference_pitch_hz", "inf")])
+    def test_score_exits_three(self, tmp_path, mini_alphabet, rng, mini_path, name, bad):
+        from phonospace import generic_model, save_model
+        corpus = make_corpus(tmp_path, mini_alphabet, rng, n=3)
+        model_path = tmp_path / "g.json"
+        save_model(generic_model(mini_alphabet), str(model_path))
+        doc = json.loads(model_path.read_text())
+        doc["quantization"][name] = bad
+        model_path.write_text(json.dumps(doc))
+        code, out, err = run(["--alphabet", mini_path, "score", corpus, "--model", str(model_path)])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and name in err and len(err.splitlines()) == 1

@@ -8,7 +8,9 @@ import pytest
 from phonospace import (
     CategoricalDist,
     CondKey,
+    InvalidPhoneString,
     Phone,
+    PhoneString,
     ProsodicLimits,
     ProsodicVector,
     StressClass,
@@ -614,3 +616,98 @@ class TestIntegerLimits:
         doc["limits"]["R"] = [-64.5, 64]
         with pytest.raises(ModelFormatError, match="non-integer"):
             load_model(json.dumps(doc), mini_alphabet)
+
+
+class TestQuantizationChecks:
+    @pytest.mark.parametrize("name,bad", [
+        ("units_per_octave_d", 12.7), ("units_per_octave_t", True), ("max_abs_units", "64"),
+        ("units_per_octave_d", 0), ("units_per_decade_l", -2), ("max_abs_units", -3),
+        ("max_abs_units", 65), ("reference_pitch_hz", math.inf),
+        ("reference_duration_sec", math.nan)])
+    def test_config_rejects(self, name, bad):
+        from phonospace import QuantizationConfig
+        with pytest.raises(ValueError, match=name):
+            QuantizationConfig(**{name: bad})
+
+    def test_range_ends_accepted(self):
+        from phonospace import QuantizationConfig
+        QuantizationConfig(units_per_octave_d=1, units_per_nat_r=1, max_abs_units=1)
+        QuantizationConfig(max_abs_units=64, reference_pitch_hz=1e-300)
+
+    # as they would appear in a model file: each used to load, or to crash scoring
+    @pytest.mark.parametrize("name,bad", [
+        ("units_per_octave_d", 12.7), ("max_abs_units", "64"), ("units_per_octave_d", 0),
+        ("max_abs_units", -3), ("reference_pitch_hz", "inf")])
+    def test_load_rejects(self, mini_alphabet, name, bad):
+        import json
+        buf = io.StringIO()
+        save_model(generic_model(mini_alphabet), buf)
+        doc = json.loads(buf.getvalue())
+        doc["quantization"][name] = bad
+        with pytest.raises(ModelFormatError, match=name):
+            load_model(json.dumps(doc), mini_alphabet)
+
+
+class TestDistMemo:
+    BOUND = 8192
+
+    def test_least_recently_used_key_is_rebuilt(self, mini_alphabet):
+        model = generic_model(mini_alphabet)
+        built = []
+        real = model.generic_dist
+        model.generic_dist = lambda key: built.append(key) or real(key)
+        targets = [None] + list(mini_alphabet)
+        keys = [CondKey(unit, cls, (a, b, c)) for unit in Unit for cls in StressClass
+                for a in targets for b in targets for c in targets][:self.BOUND + 1]
+        first, touched = keys[0], keys[1]
+        for key in keys[:self.BOUND]:
+            model.dist(key)
+        kept = model.dist(touched)  # now the most recently used
+        model.dist(keys[self.BOUND])  # one key over the bound
+        assert len(built) == self.BOUND + 1
+        built.clear()
+        assert model.dist(touched) is kept
+        assert built == []
+        model.dist(first)
+        assert built == [first]
+
+    def test_varied_model_builds_its_own_dists(self, mini_alphabet):
+        from phonospace import Regime, TransformKind, TransformSpec, apply
+        from phonospace.variation import AppliedTransform
+        mm = mini_markers(mini_alphabet)
+        model = generic_model(mini_alphabet)
+        key = CondKey(Unit.NUCLEUS, U, (mm["Q"], mm["Q"]))
+        memoized = model.dist(key)
+        spec, regime = TransformSpec(TransformKind.SYNCOPE, 1.0), Regime(rate=3.0)
+        varied = apply(model, regime, spec)
+        got = varied.dist(key)
+        assert got is not memoized and got != memoized
+        assert got == AppliedTransform(spec, regime).apply(model, key, memoized)
+        assert model.dist(key) is memoized
+        assert apply(varied, regime, spec).dist(key) != got
+
+
+class TestInputKinds:
+    """score and train read a PhoneString, a list or a one-shot iterator alike."""
+
+    KINDS = [lambda s: PhoneString(tuple(s)), list, iter]
+
+    def test_score(self, mini_alphabet, rng):
+        model = generic_model(mini_alphabet)
+        for _ in range(10):
+            s = random_valid_string(rng, mini_alphabet, max_len=9, prosody_span=2)
+            assert len({score(model, kind(s)) for kind in self.KINDS}) == 1
+        mm = mini_markers(mini_alphabet)
+        for kind in self.KINDS:
+            with pytest.raises(InvalidPhoneString):
+                score(model, kind([ph(mm["i"]), ph(mm["Q"]), ph(mm["Q"])]))
+
+    def test_train(self, mini_alphabet, rng):
+        strings = [random_valid_string(rng, mini_alphabet, max_len=9, prosody_span=2)
+                   for _ in range(20)]
+        saved = set()
+        for kind in self.KINDS:
+            buf = io.StringIO()
+            save_model(train([kind(s) for s in strings], alphabet=mini_alphabet), buf)
+            saved.add(buf.getvalue())
+        assert len(saved) == 1
