@@ -35,6 +35,7 @@ from .alphabet import (
     Phone,
     ProsodicVector,
     QuantizationConfig,
+    UnknownSymbolError,
     marker_from_record,
     marker_to_record,
 )
@@ -625,6 +626,13 @@ class _Resample(Exception):
 
 
 _CLOSURE = Manner.CLOSURE
+_NULL_REDRAWS = 16  # null draws a marker draw redraws before it gives up
+_INWARD_CAP = 4  # longest interior an inward side grows
+_OUTWARD_DRAWS = 64  # draws an outward side may take to reach its closure
+_MAX_ATTEMPTS = 500  # realizations a sample tries before it gives up
+# visit rank per class; right-to-left middling syllables are visited from the right
+_VISIT = {StressClass.STRESSED: 0, StressClass.MIDDLING_LTR: 1,
+          StressClass.MIDDLING_RTL: 2, StressClass.UNSTRESSED: 3}
 
 
 def _draw_prosody(limits: ProsodicLimits, rng: Rng) -> ProsodicVector:
@@ -641,119 +649,84 @@ def _draw_prosody(limits: ProsodicLimits, rng: Rng) -> ProsodicVector:
 
 def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
                      rng: Rng) -> List[Marker]:
-    """Realize one string's markers in dependency order.
+    """Realize one string's markers, one syllable at a time.
 
-    Junction closures are generated by the unique syllable whose scheme
-    targets them; inward chains grow geometrically and consume the
-    junction the neighbor produced.
+    Syllables are visited stressed first, then middling left-to-right ones
+    from the left, middling right-to-left ones from the right, then
+    unstressed ones. A side (onset or rhyme) is outward when its keys are
+    in ``_AWAY``, the set ``admissible_targets`` reads, and inward
+    otherwise. Inward sides grow geometrically from the junction closures
+    that neighbours made earlier; the nucleus is drawn from their inner
+    ends; outward sides grow from the nucleus to the closure that becomes
+    their junction.
     """
     k = len(classes)
     junctions: List[Optional[Marker]] = [None] * (k + 1)
-    onset_int: List[List[Marker]] = [[] for _ in range(k)]
-    rhyme_int: List[List[Marker]] = [[] for _ in range(k)]
+    # per side, keyed by (unit, junction slot): its interior from the nucleus outward
+    interiors: Dict[Tuple[Unit, int], List[Marker]] = {}
     nuclei: List[Optional[Marker]] = [None] * k
+    closures = _index_for(model.alphabet).closures
 
     def draw(unit, cls, ctx) -> Target:
         return model.dist(CondKey(unit, cls, ctx)).sample(rng)
 
-    def draw_marker(unit, cls, ctx) -> Marker:
-        for _ in range(16):
+    def draw_marker(unit, cls, ctx) -> Optional[Marker]:
+        # a null draw deletes the slot and redraws from the same context
+        for _ in range(_NULL_REDRAWS):
             t = draw(unit, cls, ctx)
             if t is not None:
                 return t
-        raise _Resample
+        return None
 
-    def branch_down(unit, cls, start: Marker) -> List[Marker]:
-        # outward from the nucleus side until a closure terminates the branch;
-        # null draws delete the slot and redraw from the same context
-        out: List[Marker] = []
-        cur = start
-        for _ in range(64):
-            t = draw(unit, cls, (cur,))
-            if t is None:
+    order = sorted(range(k), key=lambda i: (
+        _VISIT[classes[i]], -i if classes[i] is StressClass.MIDDLING_RTL else i))
+    for i in order:
+        cls = classes[i]
+        sides = ((Unit.ONSET, i), (Unit.RHYME, i + 1))
+        inward = [(unit, j) for unit, j in sides if (unit, cls) not in _AWAY]
+        for _, j in inward:
+            if junctions[j] is None:
+                # only the string-initial junction may be drawn here
+                if j != 0 or not closures:
+                    raise _Resample
+                junctions[j] = closures[int(rng.integers(len(closures)))]
+        ends = []
+        for unit, j in inward:
+            cur, grown = junctions[j], []
+            for _ in range(_INWARD_CAP):
+                if rng.random() < 0.5:
+                    break
+                t = draw_marker(unit, cls, (cur,))
+                if t is None:
+                    break
+                grown.append(t)
+                cur = t
+            interiors[unit, j] = grown[::-1]
+            ends.append(cur)
+        nucleus = nuclei[i] = draw_marker(Unit.NUCLEUS, cls, tuple(ends) or (None,))
+        if nucleus is None:
+            raise _Resample
+        for unit, j in sides:
+            if (unit, cls) not in _AWAY:
                 continue
-            out.append(t)
-            cur = t
-            if t.manner is _CLOSURE:
-                return out
-        raise _Resample
-
-    def branch_up(unit, cls, start: Marker, cap: int = 4) -> Tuple[List[Marker], Marker]:
-        # inward interior of geometric length, conditioned on the outer side
-        interior: List[Marker] = []
-        cur = start
-        for _ in range(cap):
-            if rng.random() < 0.5:
-                break
-            t = None
-            for _ in range(16):
+            cur, grown = nucleus, []
+            for _ in range(_OUTWARD_DRAWS):
                 t = draw(unit, cls, (cur,))
                 if t is not None:
-                    break
-            if t is None:
-                break
-            interior.append(t)
-            cur = t
-        return interior, cur
-
-    S, U = StressClass.STRESSED, StressClass.UNSTRESSED
-    LTR, RTL = StressClass.MIDDLING_LTR, StressClass.MIDDLING_RTL
-
-    for i, c in enumerate(classes):
-        if c is not S:
-            continue
-        nuclei[i] = draw_marker(Unit.NUCLEUS, S, (None,))
-        left = branch_down(Unit.ONSET, S, nuclei[i])
-        right = branch_down(Unit.RHYME, S, nuclei[i])
-        onset_int[i] = list(reversed(left[:-1]))
-        junctions[i] = left[-1]
-        rhyme_int[i] = right[:-1]
-        junctions[i + 1] = right[-1]
-    for i, c in enumerate(classes):
-        if c is not LTR:
-            continue
-        base = junctions[i]
-        if base is None:
-            raise _Resample
-        interior, cur = branch_up(Unit.ONSET, LTR, base)
-        nuclei[i] = draw_marker(Unit.NUCLEUS, LTR, (cur,))
-        right = branch_down(Unit.RHYME, LTR, nuclei[i])
-        onset_int[i] = interior
-        rhyme_int[i] = right[:-1]
-        junctions[i + 1] = right[-1]
-    for i in range(k - 1, -1, -1):
-        if classes[i] is not RTL:
-            continue
-        base = junctions[i + 1]
-        if base is None:
-            raise _Resample
-        interior, cur = branch_up(Unit.RHYME, RTL, base)
-        nuclei[i] = draw_marker(Unit.NUCLEUS, RTL, (cur,))
-        left = branch_down(Unit.ONSET, RTL, nuclei[i])
-        rhyme_int[i] = list(reversed(interior))
-        onset_int[i] = list(reversed(left[:-1]))
-        junctions[i] = left[-1]
-    closures = _index_for(model.alphabet).closures
-    for i, c in enumerate(classes):
-        if c is not U:
-            continue
-        if junctions[i] is None:
-            if i != 0 or not closures:
+                    grown.append(t)
+                    cur = t
+                    if t.manner is _CLOSURE:
+                        break
+            else:
                 raise _Resample
-            junctions[i] = closures[int(rng.integers(len(closures)))]
-        if junctions[i + 1] is None:
-            raise _Resample
-        interior_on, left_in = branch_up(Unit.ONSET, U, junctions[i])
-        interior_rh, right_in = branch_up(Unit.RHYME, U, junctions[i + 1])
-        nuclei[i] = draw_marker(Unit.NUCLEUS, U, (left_in, right_in))
-        onset_int[i] = interior_on
-        rhyme_int[i] = list(reversed(interior_rh))
+            junctions[j] = grown.pop()
+            interiors[unit, j] = grown
 
     markers: List[Marker] = [junctions[0]]
     for i in range(k):
-        markers.extend(onset_int[i])
+        markers.extend(reversed(interiors[Unit.ONSET, i]))
         markers.append(nuclei[i])
-        markers.extend(rhyme_int[i])
+        markers.extend(interiors[Unit.RHYME, i + 1])
         markers.append(junctions[i + 1])
     return markers
 
@@ -763,12 +736,11 @@ def sample_with_rng(
     max_syllables: int,
     rng: Rng,
     weights: StressWeights = StressWeights(),
-    max_retries: int = 500,
 ) -> PhoneString:
     """One string drawn with an existing generator (rejected-and-resampled)."""
     if max_syllables < 1:
         raise ModelError("max_syllables must be at least 1")
-    for _ in range(max_retries):
+    for _ in range(_MAX_ATTEMPTS):
         k = int(rng.integers(1, max_syllables + 1))
         options = legal_stress_sequences(k)
         classes = options[int(rng.integers(len(options)))]
@@ -784,7 +756,7 @@ def sample_with_rng(
             continue
         if got == list(classes):
             return collapsed
-    raise SampleError(f"retry budget exhausted after {max_retries} attempts")
+    raise SampleError(f"retry budget exhausted after {_MAX_ATTEMPTS} attempts")
 
 
 def sample(
@@ -812,6 +784,8 @@ def _target_from_json(obj, alphabet: Alphabet) -> Target:
         return None
     try:
         marker = marker_from_record(obj)
+    except UnknownSymbolError as exc:
+        raise ModelFormatError(exc.args[0]) from None
     except KeyError as exc:
         raise ModelFormatError(f"target entry missing field {exc}") from None
     except Exception as exc:

@@ -30,37 +30,56 @@ class SonorityRelation(Enum):
     EQUIVALENT = "equivalent"
 
 
-_MANNER_RANK = {
-    Manner.CLOSURE: 0, Manner.PLOSIVE: 1, Manner.FRICATIVE: 2,
-    Manner.NASAL: 3, Manner.APPROXIMANT: 4, Manner.VOWEL: 5,
+# Per dimension (Marker field), each value's (side, height). Values on two
+# different sides are incomparable; otherwise the higher one is greater.
+# Manner and openClose are one-sided chains, frontBack a tent with central
+# on top ('f'/'b' below it), and place two chains ('v'/'p') joined at uvular.
+_POSITIONS = {
+    "manner": {m: (None, h) for h, m in enumerate((
+        Manner.CLOSURE, Manner.PLOSIVE, Manner.FRICATIVE,
+        Manner.NASAL, Manner.APPROXIMANT, Manner.VOWEL))},
+    "open_close": {o: (None, h) for h, o in enumerate((
+        OpenClose.CLOSE, OpenClose.CLOSE_LIKE, OpenClose.CLOSE_MID, OpenClose.MID,
+        OpenClose.OPEN_MID, OpenClose.OPEN_LIKE, OpenClose.OPEN))},
+    "front_back": {
+        FrontBack.FRONT: ("f", 0), FrontBack.FRONT_LIKE: ("f", 1),
+        FrontBack.CENTRAL: (None, 2),
+        FrontBack.BACK_LIKE: ("b", 1), FrontBack.BACK: ("b", 0),
+    },
+    "place": {
+        Place.VELAR: ("v", 0), Place.PAL: ("p", 0),
+        Place.UVULAR: (None, 1), Place.PHARYNGEAL: (None, 2),
+        Place.EPIGLOTTAL: (None, 3), Place.GLOTTAL: (None, 4),
+    },
 }
 
-_OC_RANK = {
-    OpenClose.CLOSE: 0, OpenClose.CLOSE_LIKE: 1, OpenClose.CLOSE_MID: 2,
-    OpenClose.MID: 3, OpenClose.OPEN_MID: 4, OpenClose.OPEN_LIKE: 5,
-    OpenClose.OPEN: 6,
-}
 
-# tent: side marker ('f'/'b'/None for the shared top) and height
-_FB_POS = {
-    FrontBack.FRONT: ("f", 0), FrontBack.FRONT_LIKE: ("f", 1),
-    FrontBack.CENTRAL: (None, 2),
-    FrontBack.BACK_LIKE: ("b", 1), FrontBack.BACK: ("b", 0),
-}
+def _comparison(attr: str) -> Callable[[Enum, Enum], PartialOrdering]:
+    """The partial order of one dimension, named ``cmp_<attr>``."""
+    pos = _POSITIONS[attr]
 
-# two chains sharing everything from uvular up
-_PLACE_POS = {
-    Place.VELAR: ("v", 0), Place.PAL: ("p", 0),
-    Place.UVULAR: (None, 1), Place.PHARYNGEAL: (None, 2),
-    Place.EPIGLOTTAL: (None, 3), Place.GLOTTAL: (None, 4),
-}
+    def cmp(a: Enum, b: Enum) -> PartialOrdering:
+        side_a, h_a = pos[a]
+        side_b, h_b = pos[b]
+        if side_a is not None and side_b is not None and side_a != side_b:
+            return PartialOrdering.INCOMPARABLE
+        if h_a < h_b:
+            return PartialOrdering.LESS
+        if h_a > h_b:
+            return PartialOrdering.GREATER
+        return PartialOrdering.EQUAL
+
+    cmp.__name__ = cmp.__qualname__ = f"cmp_{attr}"
+    return cmp
+
+
+cmp_manner, cmp_open_close, cmp_front_back, cmp_place = map(_comparison, _POSITIONS)
 
 
 def _path_lengths(pos: Dict[Enum, Tuple[Optional[str], int]]) -> Dict[Enum, Dict[Enum, int]]:
     """Path lengths between the values of a chain or of two chains joined at the top.
 
-    ``pos`` maps each value to (side, height) as above; values on
-    opposite sides meet at the lowest shared (side None) value.
+    Values on opposite sides meet at the lowest shared (side None) value.
     """
     join = min(h for side, h in pos.values() if side is None)
     return {a: {b: (join - ha) + (join - hb) if sa is not None and sb is not None and sa != sb
@@ -72,44 +91,7 @@ def _path_lengths(pos: Dict[Enum, Tuple[Optional[str], int]]) -> Dict[Enum, Dict
 # Per dimension (Marker field), the Hasse-graph path length between any
 # two of its values; incomparable values route through their least upper
 # bound. Their sum over the dimensions is the ordinal distance of markers.
-DISTANCES = (
-    ("manner", _path_lengths({m: (None, r) for m, r in _MANNER_RANK.items()})),
-    ("open_close", _path_lengths({o: (None, r) for o, r in _OC_RANK.items()})),
-    ("front_back", _path_lengths(_FB_POS)),
-    ("place", _path_lengths(_PLACE_POS)),
-)
-
-
-def _from_ranks(a: int, b: int) -> PartialOrdering:
-    if a < b:
-        return PartialOrdering.LESS
-    if a > b:
-        return PartialOrdering.GREATER
-    return PartialOrdering.EQUAL
-
-
-def cmp_manner(a: Manner, b: Manner) -> PartialOrdering:
-    return _from_ranks(_MANNER_RANK[a], _MANNER_RANK[b])
-
-
-def cmp_open_close(a: OpenClose, b: OpenClose) -> PartialOrdering:
-    return _from_ranks(_OC_RANK[a], _OC_RANK[b])
-
-
-def cmp_front_back(a: FrontBack, b: FrontBack) -> PartialOrdering:
-    side_a, h_a = _FB_POS[a]
-    side_b, h_b = _FB_POS[b]
-    if side_a is not None and side_b is not None and side_a != side_b:
-        return PartialOrdering.INCOMPARABLE
-    return _from_ranks(h_a, h_b)
-
-
-def cmp_place(a: Place, b: Place) -> PartialOrdering:
-    side_a, h_a = _PLACE_POS[a]
-    side_b, h_b = _PLACE_POS[b]
-    if side_a is not None and side_b is not None and side_a != side_b:
-        return PartialOrdering.INCOMPARABLE
-    return _from_ranks(h_a, h_b)
+DISTANCES = tuple((attr, _path_lengths(pos)) for attr, pos in _POSITIONS.items())
 
 
 @lru_cache(maxsize=None)

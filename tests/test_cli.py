@@ -358,3 +358,19 @@ class TestQuantizationChecks:
         code, out, err = run(["--alphabet", mini_path, "score", corpus, "--model", str(model_path)])
         assert code == 3 and out == ""
         assert err.startswith("error: ") and name in err and len(err.splitlines()) == 1
+
+
+class TestModelFileSymbols:
+    def test_unknown_attribute_value_exits_three(self, tmp_path, mini_alphabet, rng, mini_path):
+        corpus = make_corpus(tmp_path, mini_alphabet, rng, n=3)
+        model_path = tmp_path / "m.json"
+        code, _, _ = run(["--alphabet", mini_path, "train", corpus, "--out", str(model_path)])
+        assert code == 0
+        doc = json.loads(model_path.read_text())
+        ctx = next(c for t in doc["tables"] for c in t["key"]["context"] if not c.get("null"))
+        ctx["m"] = "clossure"
+        model_path.write_text(json.dumps(doc))
+        code, out, err = run(["--alphabet", mini_path, "score", corpus, "--model", str(model_path)])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "clossure" in err and "missing field" not in err

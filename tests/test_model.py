@@ -276,6 +276,40 @@ class TestSampling:
             sample(generic_model(mini_alphabet), max_syllables=0)
 
 
+class TestLongClassSequences:
+    """sha256 of 40 strings drawn with one Pcg64 stream at five or seven syllables.
+
+    Only from four syllables on can a class sequence hold two right-to-left
+    middling syllables, so these digests pin the order in which the sampler
+    visits them. The digests come from the earlier sampler, which had one
+    loop per stress class.
+    """
+
+    DIGESTS = {
+        ("generic", 5): "21300d4d02abb5416593fc2dc4b2fb2d1462695702183d040ac81b42d810cef0",
+        ("generic", 7): "70ef50499b297e45c58afc32c180954e29d129fda2fdc602350b88457e835ed8",
+        ("trained", 5): "a75f06b14f77b3c56e480809b4ac4ea16dfeeca0e619671416b7bae168076cc3",
+        ("trained", 7): "42a1225e30df670ef353f09524f9a9e019e6502a0c6be3cd9536ae709b1e7570",
+    }
+
+    @pytest.mark.parametrize("which,max_syllables", list(DIGESTS))
+    def test_sample_bytes(self, mini_alphabet, which, max_syllables):
+        import hashlib
+        from phonospace import write_corpus
+        from phonospace.prng import Pcg64
+        if which == "generic":
+            model = generic_model(mini_alphabet, epsilon=0.1)
+        else:
+            rng = np.random.default_rng(60)
+            model = train([random_valid_string(rng, mini_alphabet, max_len=14, prosody_span=2)
+                           for _ in range(60)], alphabet=mini_alphabet)
+        stream = Pcg64(max_syllables)
+        buf = io.StringIO()
+        write_corpus([sample_with_rng(model, max_syllables, stream) for _ in range(40)], buf)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == self.DIGESTS[which, max_syllables]
+
+
 class TestSerialization:
     def test_round_trip_bytes(self, mini_alphabet, rng):
         corpus = [random_valid_string(rng, mini_alphabet, max_len=8, prosody_span=2)
@@ -315,6 +349,19 @@ class TestSerialization:
     def test_malformed_json(self, mini_alphabet):
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model("{not json", mini_alphabet)
+
+    def test_unknown_attribute_value_reported_as_such(self, mini_alphabet):
+        # UnknownSymbolError is a KeyError; it was reported as a missing field
+        import json
+        mm = mini_markers(mini_alphabet)
+        buf = io.StringIO()
+        save_model(train([[ph(mm["Q"]), ph(mm["i"]), ph(mm["Q"])]], alphabet=mini_alphabet), buf)
+        doc = json.loads(buf.getvalue())
+        ctx = next(c for t in doc["tables"] for c in t["key"]["context"] if not c.get("null"))
+        ctx["m"] = "clossure"
+        with pytest.raises(ModelFormatError, match="unknown attribute name 'clossure'") as info:
+            load_model(json.dumps(doc), mini_alphabet)
+        assert "missing field" not in str(info.value)
 
     def test_trained_scores_survive_round_trip(self, mini_alphabet, rng):
         corpus = [random_valid_string(rng, mini_alphabet, max_len=8, prosody_span=2)
