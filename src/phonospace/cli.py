@@ -165,11 +165,9 @@ def cmd_sample(args) -> int:
         model = load_model(args.model, alphabet)
     else:
         model = generic_model(alphabet, epsilon=args.epsilon)
+    weights = _weights(args)
     rng = Pcg64(args.seed)
-    strings = [
-        sample_with_rng(model, args.max_syllables, rng, _weights(args))
-        for _ in range(args.n)
-    ]
+    strings = [sample_with_rng(model, args.max_syllables, rng, weights) for _ in range(args.n)]
     header = [
         "phonospace corpus",
         "prng: pcg64",

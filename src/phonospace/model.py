@@ -42,6 +42,7 @@ from .alphabet import (
 from .prng import Pcg64, Rng
 from .sonority import DISTANCES, STEP_RULE, PartialOrdering, StepDimension
 from .syllabifier import (
+    ABOVE,
     InvalidPhoneString,
     PhoneString,
     StressClass,
@@ -265,25 +266,22 @@ def limits_to_json(limits: ProsodicLimits) -> dict:
 # direction structure of the factor schemes
 
 # keys whose target sits one step farther from the nucleus than the context
-_AWAY = {
-    (Unit.ONSET, StressClass.STRESSED), (Unit.ONSET, StressClass.MIDDLING_RTL),
-    (Unit.RHYME, StressClass.STRESSED), (Unit.RHYME, StressClass.MIDDLING_LTR),
-}
-# keys whose single context temporally follows the target (assimilation triggers)
-CTX_FOLLOWS = {
-    (Unit.ONSET, StressClass.STRESSED), (Unit.ONSET, StressClass.MIDDLING_RTL),
-    (Unit.RHYME, StressClass.UNSTRESSED), (Unit.RHYME, StressClass.MIDDLING_RTL),
-    (Unit.NUCLEUS, StressClass.MIDDLING_RTL),
-}
+_AWAY = {(unit, cls) for cls, claims in ABOVE.items()
+         for unit, above in zip((Unit.ONSET, Unit.RHYME), claims) if above}
 
 
 def following_context_slot(key: CondKey) -> Optional[int]:
-    """Index of the context entry that follows the target in time, if any."""
-    if key.unit is Unit.NUCLEUS and key.stress is StressClass.UNSTRESSED:
-        return 1 if len(key.context) > 1 else None
-    if (key.unit, key.stress) in CTX_FOLLOWS:
-        return 0
-    return None
+    """Index of the context entry that follows the target in time, if any.
+
+    It is read from the key's unit and class alone, so it may lie past a short context.
+    """
+    left, right = ABOVE[key.stress]
+    if key.unit is Unit.ONSET:
+        return 0 if left else None
+    if key.unit is Unit.RHYME:
+        return None if right else 0
+    # a nucleus depends on its inward neighbours, left to right
+    return None if right else int(not left)
 
 
 _RankClasses = Dict[object, Tuple[frozenset, frozenset]]
@@ -591,33 +589,30 @@ def train(
 # ---------------------------------------------------------------------------
 # sampling
 
-_DESC = {StressClass.STRESSED, StressClass.MIDDLING_LTR}   # claim: next rank lower
-_LEFT_DESC = {StressClass.UNSTRESSED, StressClass.MIDDLING_LTR}  # claim: prev rank higher
+# the classes that may follow each class: the next left claim negates this right claim
+_NEXT = {c: [n for n in StressClass if ABOVE[n][0] != ABOVE[c][1]] for c in StressClass}
 
 
 @lru_cache(maxsize=None)
 def legal_stress_sequences(k: int) -> Tuple[Tuple[StressClass, ...], ...]:
-    """All class sequences realizable by some strict stress ranking."""
-    if k == 1:
-        return ((StressClass.STRESSED,),)
+    """All class sequences realizable by some strict stress ranking.
+
+    They come in lexicographic order of the class declaration; the sampler
+    picks one by index.
+    """
     seqs: List[Tuple[StressClass, ...]] = []
 
     def extend(prefix: List[StressClass]):
         if len(prefix) == k:
-            if prefix[-1] in (StressClass.STRESSED, StressClass.MIDDLING_LTR):
+            if ABOVE[prefix[-1]][1]:  # the string end ranks below the last syllable
                 seqs.append(tuple(prefix))
             return
-        for c in StressClass:
-            if not prefix:
-                if c in (StressClass.STRESSED, StressClass.UNSTRESSED):
-                    extend([c])
-                continue
-            # adjacent agreement: the left claim of c must restate the
-            # right claim of prefix[-1] about the shared rank step
-            if (prefix[-1] in _DESC) == (c in _LEFT_DESC):
-                extend(prefix + [c])
+        for c in _NEXT[prefix[-1]]:
+            extend(prefix + [c])
 
-    extend([])
+    for c in StressClass:
+        if ABOVE[c][0] == ABOVE[c][1]:  # the first syllable claims the same on both sides
+            extend([c])
     return tuple(seqs)
 
 

@@ -261,6 +261,19 @@ class StressClass(Enum):
     MIDDLING_RTL = "middling-RtoL"
 
 
+# What each class claims: (ranks above its left neighbour, ranks above its
+# right one). A side facing a lower neighbour depends outward from the
+# nucleus, one facing a higher neighbour inward; adjacent classes must agree
+# on the rank step they share.
+ABOVE = {
+    StressClass.STRESSED: (True, True),
+    StressClass.UNSTRESSED: (False, False),
+    StressClass.MIDDLING_LTR: (False, True),
+    StressClass.MIDDLING_RTL: (True, False),
+}
+_CLASS_OF = {claims: cls for cls, claims in ABOVE.items()}
+
+
 @dataclass(frozen=True)
 class StressWeights:
     w_d: float = 1.0
@@ -314,34 +327,12 @@ def classify_stress(syllables: Sequence[Syllable], scores: Sequence[float]) -> L
     yields the same answer), and the string end is virtually unstressed,
     so a falling last syllable is middling left-to-right.
     """
-    k = len(syllables)
-    if k != len(scores):
+    if len(syllables) != len(scores):
         raise ValueError("one score per syllable required")
-
-    def higher(i: int, j: int) -> bool:
-        # tie-break: earlier syllable ranks higher
-        return scores[i] > scores[j] or (scores[i] == scores[j] and i < j)
-
-    if k == 1:
-        return [StressClass.STRESSED]
-    classes: List[StressClass] = []
-    for i in range(k):
-        if i == 0:
-            classes.append(StressClass.STRESSED if higher(0, 1) else StressClass.UNSTRESSED)
-        elif i == k - 1:
-            classes.append(StressClass.STRESSED if higher(i, i - 1) else StressClass.MIDDLING_LTR)
-        else:
-            up_left = higher(i, i - 1)
-            up_right = higher(i, i + 1)
-            if up_left and up_right:
-                classes.append(StressClass.STRESSED)
-            elif not up_left and not up_right:
-                classes.append(StressClass.UNSTRESSED)
-            elif up_right:
-                classes.append(StressClass.MIDDLING_LTR)
-            else:
-                classes.append(StressClass.MIDDLING_RTL)
-    return classes
+    # right[i]: syllable i ranks above syllable i + 1, or above the string end
+    right = [a >= b for a, b in zip(scores, scores[1:])] + [True][:len(scores)]
+    left = right[:1] + [not r for r in right[:-1]]
+    return [_CLASS_OF[claims] for claims in zip(left, right)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,55 +371,34 @@ class DependencyPlan:
 def dependency_plan(parse: SyllableParse, classes: Sequence[StressClass]) -> DependencyPlan:
     """Emit the conditional factors of every syllable.
 
-    Stressed syllables depend outward from the nucleus (the nucleus
-    itself is given, not targeted); unstressed ones depend inward with a
-    joint nucleus factor on both neighbors; middling ones run left to
-    right or right to left toward the less stressed neighbor. Shared
+    A side (onset or rhyme) whose class ranks it above its neighbour
+    depends outward from the nucleus, each phone on the one nearer the
+    nucleus; the other kind depends inward, each phone on the one nearer
+    the edge. The nucleus is given when both sides are outward and
+    otherwise depends on its inward neighbours, left to right. Shared
     boundary minima come out targeted exactly once because the legal
     class adjacencies make the schemes dovetail.
     """
     if len(parse.syllables) != len(classes):
         raise ValueError("one stress class per syllable required")
     factors: List[Factor] = []
-
-    def ctx(i: int, lo: int, hi: int) -> Tuple[Optional[int], ...]:
-        return (i,) if lo <= i <= hi else (None,)
-
     for si, (syl, cls) in enumerate(zip(parse.syllables, classes)):
         s, m, e = syl.start, syl.nucleus, syl.end
+        left, right = ABOVE[cls]
         # a boundary minimum acts as one phone even when it is a block of
-        # equivalents: inward schemes stop at the block edge, leaving the
+        # equivalents: inward sides stop at the block edge, leaving the
         # whole block to the neighbor that targets it
-        first_in, last_in = syl.interior_start, syl.interior_end
-
-        def add(target: int, context: Iterable[Optional[int]], unit: Unit):
-            factors.append(Factor(target, tuple(context), unit, cls, si))
-
-        if cls is StressClass.STRESSED:
-            for j in range(s, m):
-                add(j, ctx(j + 1, s, e), Unit.ONSET)
-            for k in range(e, m, -1):
-                add(k, ctx(k - 1, s, e), Unit.RHYME)
-        elif cls is StressClass.UNSTRESSED:
-            for j in range(first_in, m):
-                add(j, ctx(j - 1, s, e), Unit.ONSET)
-            for k in range(m + 1, last_in + 1):
-                add(k, ctx(k + 1, s, e), Unit.RHYME)
-            left = m - 1 if m - 1 >= s else None
-            right = m + 1 if m + 1 <= e else None
-            add(m, (left, right), Unit.NUCLEUS)
-        elif cls is StressClass.MIDDLING_LTR:
-            for j in range(first_in, m):
-                add(j, ctx(j - 1, s, e), Unit.ONSET)
-            add(m, ctx(m - 1, s, e), Unit.NUCLEUS)
-            for k in range(m + 1, e + 1):
-                add(k, ctx(k - 1, s, e), Unit.RHYME)
-        else:  # MIDDLING_RTL
-            for j in range(s, m):
-                add(j, ctx(j + 1, s, e), Unit.ONSET)
-            add(m, ctx(m + 1, s, e), Unit.NUCLEUS)
-            for k in range(m + 1, last_in + 1):
-                add(k, ctx(k + 1, s, e), Unit.RHYME)
+        onset = [Factor(j, (j + 1,) if left else (j - 1,), Unit.ONSET, cls, si)
+                 for j in range(s if left else syl.interior_start, m)]
+        rhyme = [Factor(k, (k - 1,) if right else (k + 1,), Unit.RHYME, cls, si)
+                 for k in range(m + 1, e + 1 if right else syl.interior_end + 1)]
+        if left and right:  # a stressed rhyme is emitted from the edge inward
+            rhyme.reverse()
+        inward = [i if s <= i <= e else None
+                  for i, out in ((m - 1, left), (m + 1, right)) if not out]
+        nucleus = [Factor(m, tuple(inward), Unit.NUCLEUS, cls, si)] if inward else []
+        # a middling nucleus comes before its rhyme, an unstressed one last
+        factors += onset + nucleus + rhyme if left != right else onset + rhyme + nucleus
     return DependencyPlan(tuple(factors))
 
 

@@ -93,6 +93,20 @@ def random_valid_string(rng, alphabet, max_len=30, prosody_span=8):
     raise AssertionError("random string generator failed to produce a valid string")
 
 
+def legal_plans(rng, alphabet, n=300, max_len=14, max_syllables=6):
+    """(collapsed string, plan) under every legal class sequence, for n random valid strings.
+
+    Strings with more than max_syllables syllables are skipped.
+    """
+    from phonospace import dependency_plan, legal_stress_sequences, parse_and_plan
+
+    for _ in range(n):
+        s, parse, *_ = parse_and_plan(random_valid_string(rng, alphabet, max_len=max_len), alphabet)
+        if len(parse.syllables) <= max_syllables:
+            for classes in legal_stress_sequences(len(parse.syllables)):
+                yield s, dependency_plan(parse, classes)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)

@@ -302,6 +302,11 @@ class TestSampleCounts:
         code, out, err = run(["sample", "-n", n, "--max-syllables", "0"])
         assert code == 1 and out == "" and "--max-syllables" in err
 
+    @pytest.mark.parametrize("weights", ["1,2", "nan,1,1,1"])
+    def test_stress_weights_rejected_before_drawing(self, weights):
+        code, out, err = run(["sample", "-n", "0", "--stress-weights", weights])
+        assert code == 1 and out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_zero_strings_writes_header_only(self):
         code, out, _ = run(["sample", "-n", "0"])
         assert code == 0

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from collections import Counter
 
@@ -16,6 +17,7 @@ from phonospace import (
     StressClass,
     Unit,
     admissible_targets,
+    classify_stress,
     check_diphthongal_syllable,
     factor_key,
     generic_model,
@@ -758,3 +760,15 @@ class TestInputKinds:
             save_model(train([kind(s) for s in strings], alphabet=mini_alphabet), buf)
             saved.add(buf.getvalue())
         assert len(saved) == 1
+
+
+class TestLegalSequenceTable:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_strict_ranking_once_in_declaration_order(self, k):
+        seqs = legal_stress_sequences(k)
+        ranked = {tuple(classify_stress([None] * k, list(r))) for r in itertools.permutations(range(k))}
+        assert set(seqs) == ranked
+        assert len(seqs) == 2 ** (k - 1)
+        # the sampler picks a sequence by index, so this order fixes the sampled bytes
+        order = list(StressClass)
+        assert list(seqs) == sorted(seqs, key=lambda q: [order.index(c) for c in q])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from phonospace import (
     string_violations,
     validate_string,
 )
-from conftest import random_valid_string
+from conftest import legal_plans, random_valid_string
 
 S, U = StressClass.STRESSED, StressClass.UNSTRESSED
 LTR, RTL = StressClass.MIDDLING_LTR, StressClass.MIDDLING_RTL
@@ -300,3 +302,26 @@ class TestPlan:
             assert covered == set(range(len(s)))
             for a, b in zip(parse.syllables, parse.syllables[1:]):
                 assert a.end_block == b.start_block
+
+
+class TestPlanOrder:
+    """sha256 of the plan factors, in emission order, over every legal class sequence.
+
+    Scores sum the factors' log-probabilities in this order and `syllabify`
+    prints them in it, so the order is part of the output; the oracle tests
+    compare factors as sets and do not see it. The digests come from the
+    plan that had one branch per stress class.
+    """
+
+    DIGESTS = {
+        "default": "17900611641ff6b9b762587ac570a18d738e48780ebce2becc7b64ff9657b85c",
+        "mini": "beece810871a0e6e6b44300cf9ff28c2864ad7fab2552b7d9f0094c348a625fd",
+    }
+
+    @pytest.mark.parametrize("name", ["default", "mini"])
+    def test_digest(self, name, alphabet, mini_alphabet, rng):
+        h = hashlib.sha256()
+        for _s, plan in legal_plans(rng, alphabet if name == "default" else mini_alphabet):
+            for f in plan.factors:
+                h.update(repr((f.target, f.context, f.unit.value, f.stress.value, f.syllable)).encode())
+        assert h.hexdigest() == self.DIGESTS[name]

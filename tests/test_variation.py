@@ -12,13 +12,14 @@ from phonospace import (
     Unit,
     apply,
     drift_report,
+    factor_key,
     generic_model,
     ordinal_distance,
     score,
     train,
 )
-from phonospace.model import LanguageModel, ModelError, admissible_targets
-from conftest import random_valid_string
+from phonospace.model import LanguageModel, ModelError, admissible_targets, following_context_slot
+from conftest import legal_plans, random_valid_string
 
 S, U = StressClass.STRESSED, StressClass.UNSTRESSED
 
@@ -262,3 +263,18 @@ def test_straightening_equals_per_target_reference(trained, alphabet, rate):
                 probs[t] = p * math.exp(-(beta - 1.0) * d)
             total = sum(probs.values())
             assert varied.dist(key).entries == tuple((t, p / total) for t, p in probs.items())
+
+
+class TestFollowingContextSlot:
+    @pytest.mark.parametrize("name", ["default", "mini"])
+    def test_names_the_later_context_phone(self, name, alphabet, mini_alphabet, rng):
+        # assimilation reads this slot as the phone that follows the target in time
+        for s, plan in legal_plans(rng, alphabet if name == "default" else mini_alphabet):
+            for f in plan.factors:
+                slot = following_context_slot(factor_key(s, f)[0])
+                later = [i for i, c in enumerate(f.context) if c is not None and c > f.target]
+                assert len(later) <= 1
+                if later:
+                    assert slot == later[0]
+                else:
+                    assert slot is None or f.context[slot] is None
