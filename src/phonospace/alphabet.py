@@ -25,9 +25,13 @@ from importlib import resources
 from typing import Iterator, NamedTuple, Optional
 
 
-class Manner(Enum):
-    __hash__ = object.__hash__  # members are singletons; skip the per-call name hash
+class IdentityEnum(Enum):
+    """Base of every phonospace enum: members are singletons, so they hash by identity, in C."""
 
+    __hash__ = object.__hash__
+
+
+class Manner(IdentityEnum):
     CLOSURE = "closure"
     PLOSIVE = "plosive"
     FRICATIVE = "fricative"
@@ -36,9 +40,7 @@ class Manner(Enum):
     VOWEL = "vowel"
 
 
-class FrontBack(Enum):
-    __hash__ = object.__hash__
-
+class FrontBack(IdentityEnum):
     FRONT = "front"
     FRONT_LIKE = "frontLike"
     CENTRAL = "central"
@@ -46,9 +48,7 @@ class FrontBack(Enum):
     BACK = "back"
 
 
-class OpenClose(Enum):
-    __hash__ = object.__hash__
-
+class OpenClose(IdentityEnum):
     CLOSE = "close"
     CLOSE_LIKE = "closeLike"
     CLOSE_MID = "closeMid"
@@ -58,9 +58,7 @@ class OpenClose(Enum):
     OPEN = "open"
 
 
-class Place(Enum):
-    __hash__ = object.__hash__
-
+class Place(IdentityEnum):
     PAL = "palatAlveoLabial"
     VELAR = "velar"
     UVULAR = "uvular"

@@ -22,9 +22,9 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
 
 from .alphabet import (
@@ -80,13 +80,13 @@ def _target_sort_key(t: Target) -> tuple:
     return (0,) if t is None else (1,) + t.sort_key()
 
 
-@dataclass(frozen=True)
-class CondKey:
+class CondKey(NamedTuple):
     """Key of one conditional distribution.
 
     Context is the ordered tuple of conditioning markers; None slots are
     the null phone. Unstressed-nucleus keys carry the two adjacent
-    phones, every other key a single context entry.
+    phones, every other key a single context entry. A plain tuple, so
+    hashing and equality run in C.
     """
 
     unit: Unit
@@ -329,46 +329,33 @@ class _AdmissibilityIndex:
     """
 
     def __init__(self, alphabet: Alphabet):
-        self.cells = tuple(alphabet)  # canonical order
-        self.closures = tuple(m for m in self.cells if m.manner is Manner.CLOSURE)
-        self.support = Support((None,) + self.cells)
-        self._away_classes: List[Tuple[str, _RankClasses]] = []
-        self._toward_classes: List[Tuple[str, _RankClasses]] = []
-        for dim in STEP_RULE:
-            away, toward = _rank_classes(self.cells, dim)
-            self._away_classes.append((dim.attr, away))
-            self._toward_classes.append((dim.attr, toward))
-        self._away: Dict[Marker, frozenset] = {}
-        self._toward: Dict[Marker, frozenset] = {}
-        # per dimension, value -> its distance to each cell; built on first use
-        self._dimension_rows: Optional[List[Tuple[str, Dict[object, List[int]]]]] = None
-        self._distances: Dict[Marker, Tuple[int, ...]] = {}
+        cells = self.cells = tuple(alphabet)  # canonical order
+        self.closures = tuple(m for m in cells if m.manner is Manner.CLOSURE)
+        self.support = Support((None,) + cells)
+        per_dim = [(dim.attr, _rank_classes(cells, dim)) for dim in STEP_RULE]
+        away_classes = [(attr, away) for attr, (away, _) in per_dim]
+        toward_classes = [(attr, toward) for attr, (_, toward) in per_dim]
+        # per dimension, value -> its distance to each cell
+        dimension_rows = [(attr, {v: [to[getattr(c, attr)] for c in cells] for v, to in table.items()})
+                          for attr, table in DISTANCES]
 
-    def away(self, ctx: Marker) -> frozenset:
-        """Cells t with ``is_diphthongal_step(ctx, t)``."""
-        got = self._away.get(ctx)
-        if got is None:
-            got = self._away[ctx] = _row(ctx, self._away_classes)
-        return got
+        @cache
+        def away(ctx: Marker) -> frozenset:
+            """Cells t with ``is_diphthongal_step(ctx, t)``."""
+            return _row(ctx, away_classes)
 
-    def toward(self, ctx: Marker) -> frozenset:
-        """Cells t with ``is_diphthongal_step(t, ctx)``."""
-        got = self._toward.get(ctx)
-        if got is None:
-            got = self._toward[ctx] = _row(ctx, self._toward_classes)
-        return got
+        @cache
+        def toward(ctx: Marker) -> frozenset:
+            """Cells t with ``is_diphthongal_step(t, ctx)``."""
+            return _row(ctx, toward_classes)
 
-    def distances(self, ctx: Marker) -> Tuple[int, ...]:
-        """``variation.ordinal_distance(ctx, t)`` for every cell t, in canonical order."""
-        got = self._distances.get(ctx)
-        if got is None:
-            if self._dimension_rows is None:
-                self._dimension_rows = [
-                    (attr, {v: [to[getattr(c, attr)] for c in self.cells] for v, to in table.items()})
-                    for attr, table in DISTANCES]
-            rows = [by_value[getattr(ctx, attr)] for attr, by_value in self._dimension_rows]
-            got = self._distances[ctx] = tuple(map(sum, zip(*rows)))
-        return got
+        @cache
+        def distances(ctx: Marker) -> Tuple[int, ...]:
+            """``variation.ordinal_distance(ctx, t)`` for every cell t, in canonical order."""
+            rows = [by_value[getattr(ctx, attr)] for attr, by_value in dimension_rows]
+            return tuple(map(sum, zip(*rows)))
+
+        self.away, self.toward, self.distances = away, toward, distances
 
 
 # weak keys: an index lives exactly as long as its alphabet

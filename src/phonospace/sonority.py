@@ -14,17 +14,17 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .alphabet import FrontBack, Manner, Marker, OpenClose, Place
+from .alphabet import FrontBack, IdentityEnum, Manner, Marker, OpenClose, Place
 
 
-class PartialOrdering(Enum):
+class PartialOrdering(IdentityEnum):
     LESS = "less"
     GREATER = "greater"
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
 
 
-class SonorityRelation(Enum):
+class SonorityRelation(IdentityEnum):
     LESS = "less"
     GREATER = "greater"
     EQUIVALENT = "equivalent"

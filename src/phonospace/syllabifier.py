@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .alphabet import (
     DEFAULT_QUANTIZATION,
+    IdentityEnum,
     Manner,
     Marker,
     Phone,
@@ -165,7 +165,6 @@ class Block:
 
     start: int
     end: int  # inclusive phone index
-    representative: Marker
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,6 @@ class Syllable:
 
 @dataclass(frozen=True)
 class SyllableParse:
-    string: PhoneString
     blocks: Tuple[Block, ...]
     syllables: Tuple[Syllable, ...]
 
@@ -204,7 +202,7 @@ def _build_blocks(s: PhoneString) -> List[Block]:
     start = 0
     for i in range(1, len(phones) + 1):
         if i == len(phones) or cmp_sonority(phones[i - 1].marker, phones[i].marker) is not SonorityRelation.EQUIVALENT:
-            blocks.append(Block(start, i - 1, phones[start].marker))
+            blocks.append(Block(start, i - 1))
             start = i
     return blocks
 
@@ -247,14 +245,14 @@ def parse_syllables(s: PhoneString) -> SyllableParse:
             start=sb.start, nucleus=nb.start, end=eb.end,
             interior_start=sb.end + 1, interior_end=eb.start - 1,
         ))
-    return SyllableParse(s, tuple(blocks), tuple(syllables))
+    return SyllableParse(tuple(blocks), tuple(syllables))
 
 
 # ---------------------------------------------------------------------------
 # stress
 
 
-class StressClass(Enum):
+class StressClass(IdentityEnum):
     STRESSED = "stressed"
     UNSTRESSED = "unstressed"
     MIDDLING_LTR = "middling-LtoR"
@@ -339,7 +337,7 @@ def classify_stress(syllables: Sequence[Syllable], scores: Sequence[float]) -> L
 # dependency plan
 
 
-class Unit(Enum):
+class Unit(IdentityEnum):
     ONSET = "onset"
     RHYME = "rhyme"
     NUCLEUS = "nucleus"

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .alphabet import FrontBack, Manner, Marker, OpenClose, Place
+from .alphabet import FrontBack, IdentityEnum, Manner, Marker, OpenClose, Place
 from .model import (
     CategoricalDist,
     CondKey,
@@ -30,7 +29,7 @@ from .sonority import DISTANCES
 from .syllabifier import StressClass, Unit
 
 
-class TransformKind(Enum):
+class TransformKind(IdentityEnum):
     SYNCOPE = "syncope"
     EPENTHESIS = "epenthesis"
     LENITION = "lenition"

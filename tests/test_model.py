@@ -772,3 +772,33 @@ class TestLegalSequenceTable:
         # the sampler picks a sequence by index, so this order fixes the sampled bytes
         order = list(StressClass)
         assert list(seqs) == sorted(seqs, key=lambda q: [order.index(c) for c in q])
+
+
+class TestKeyTypes:
+    def test_every_phonospace_enum_hashes_by_identity(self):
+        import enum
+        import importlib
+        import pkgutil
+        import phonospace
+        found = {}
+        for info in pkgutil.iter_modules(phonospace.__path__):
+            mod = importlib.import_module(f"phonospace.{info.name}")
+            for obj in vars(mod).values():
+                if (isinstance(obj, type) and issubclass(obj, enum.Enum)
+                        and obj.__module__.startswith("phonospace")):
+                    found[obj.__name__] = obj
+        assert {"Manner", "FrontBack", "OpenClose", "Place", "PartialOrdering", "SonorityRelation",
+                "StressClass", "Unit", "TransformKind"} <= found.keys()
+        for cls in found.values():
+            assert cls.__hash__ is object.__hash__, cls
+            for member in cls:
+                assert hash(member) == object.__hash__(member)
+
+    def test_cond_key_is_its_tuple(self, mini_alphabet):
+        mm = mini_markers(mini_alphabet)
+        for unit, cls, ctx in [(Unit.RHYME, S, (mm["i"],)), (Unit.NUCLEUS, U, (None, mm["Q"])),
+                               (Unit.ONSET, LTR, (None,))]:
+            key = CondKey(unit, cls, ctx)
+            assert key == (unit, cls, ctx)
+            assert hash(key) == hash((unit, cls, ctx))
+            assert {key: 1}[(unit, cls, ctx)] == 1
