@@ -357,11 +357,13 @@ def quantize(value: float, dimension: str, cfg: QuantizationConfig = DEFAULT_QUA
 
     D/T take a positive duration (s) / pitch (Hz), L a positive loudness;
     R takes the (signed) change in log vocal tract length and negates it
-    so that positive means fronting. Results clamp into
-    ``[-max_abs_units, max_abs_units]``.
+    so that positive means fronting. Finite results clamp into
+    ``[-max_abs_units, max_abs_units]``; NaN and infinities are rejected.
     """
     if dimension not in _DIMENSIONS:
         raise ValueError(f"dimension must be one of {_DIMENSIONS}, got {dimension!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{dimension} requires a finite value, got {value!r}")
     if dimension == "R":
         raw = -cfg.units_per_nat_r * value
     else:
@@ -373,8 +375,8 @@ def quantize(value: float, dimension: str, cfg: QuantizationConfig = DEFAULT_QUA
             raw = cfg.units_per_octave_t * math.log2(value / cfg.reference_pitch_hz)
         else:
             raw = cfg.units_per_decade_l * math.log10(value / cfg.reference_loudness)
-    units = _round_half_away(raw)
-    return max(-cfg.max_abs_units, min(cfg.max_abs_units, units))
+    # clamped before rounding, so a finite value whose product overflows clamps too
+    return _round_half_away(max(-cfg.max_abs_units, min(cfg.max_abs_units, raw)))
 
 
 def dequantize(units: int, dimension: str, cfg: QuantizationConfig = DEFAULT_QUANTIZATION) -> float:

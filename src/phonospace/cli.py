@@ -22,7 +22,6 @@ from .model import (
     ModelError,
     ModelFormatError,
     generic_model,
-    limits_to_json,
     load_model,
     sample_with_rng,
     save_model,
@@ -202,7 +201,7 @@ def cmd_info(args) -> int:
             "keys": len(model.tables),
             "epsilon": model.epsilon,
             "alpha": model.alpha,
-            "limits": limits_to_json(model.limits),
+            "limits": model.limits.to_json(),
         }
     print(json.dumps(doc, indent=2))
     return EXIT_OK

@@ -190,7 +190,8 @@ class CategoricalDist:
 
     def sample(self, rng: Rng) -> Target:
         if self._cum is None:
-            self._cum = list(accumulate(p for _, p in self.entries))
+            exc, floor = self.exceptions, self.floor
+            self._cum = list(accumulate(exc.get(t, floor) for t in self._support.targets))
         targets = self._support.targets
         i = bisect_right(self._cum, float(rng.random()))
         return targets[min(i, len(targets) - 1)]
@@ -207,7 +208,7 @@ class CategoricalDist:
 
 @dataclass(frozen=True)
 class ProsodicLimits:
-    """Per-dimension intervals (inclusive) and allowed bit sets."""
+    """The prosodic law: uniform over per-dimension intervals (inclusive) and bit sets."""
 
     R: Tuple[int, int] = (-64, 64)
     T: Tuple[int, int] = (-64, 64)
@@ -255,11 +256,39 @@ class ProsodicLimits:
         out -= math.log(len(self.V))
         return out
 
+    def draw(self, rng: Rng) -> ProsodicVector:
+        """One phone's prosody from the law ``log_mass`` charges.
 
-def limits_to_json(limits: ProsodicLimits) -> dict:
-    """The limits as saved in a model file and shown by ``info``."""
-    return {"R": list(limits.R), "T": list(limits.T), "D": list(limits.D), "L": list(limits.L),
-            "N": sorted(limits.N), "V": sorted(limits.V)}
+        The rng is read in ``ProsodicVector`` field order: R, N, V, T, D, L.
+        """
+        def iv(bounds):
+            return int(rng.integers(bounds[0], bounds[1] + 1))
+
+        def bit(allowed):
+            allowed = sorted(allowed)
+            return allowed[int(rng.integers(len(allowed)))]
+
+        return ProsodicVector(R=iv(self.R), N=bit(self.N), V=bit(self.V),
+                              T=iv(self.T), D=iv(self.D), L=iv(self.L))
+
+    @classmethod
+    def observed(cls, prosodies: Sequence[ProsodicVector]) -> "ProsodicLimits":
+        """The smallest limits that contain every given vector (at least one)."""
+        def span(f):
+            values = [getattr(pv, f.name) for pv in prosodies]
+            return frozenset(values) if type(f.default) is frozenset else (min(values), max(values))
+
+        return cls(**{f.name: span(f) for f in fields(cls)})
+
+    def to_json(self) -> dict:
+        """The limits as saved in a model file and shown by ``info``, in field order."""
+        # an interval (lo, hi) has lo <= hi, so sorting keeps it as it is
+        return {f.name: sorted(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "ProsodicLimits":
+        """Inverse of ``to_json``: each field's JSON list as a tuple or a frozenset."""
+        return cls(**{f.name: type(f.default)(obj[f.name]) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +351,18 @@ def _row(ctx: Marker, per_dim: Sequence[Tuple[str, _RankClasses]]) -> frozenset:
 
 
 class _AdmissibilityIndex:
-    """Single-step admissibility of one alphabet's cells.
+    """Single-step admissibility of one alphabet's cells, and the generic law per row.
 
     Rows come from per-dimension rank classes of the step rule in
-    ``sonority.STEP_RULE`` and are memoized per context marker.
+    ``sonority.STEP_RULE`` and are memoized per context marker; the row of
+    a null context is ``all_cells``.
     """
 
     def __init__(self, alphabet: Alphabet):
         cells = self.cells = tuple(alphabet)  # canonical order
+        self.all_cells = frozenset(cells)
         self.closures = tuple(m for m in cells if m.manner is Manner.CLOSURE)
-        self.support = Support((None,) + cells)
+        support = self.support = Support((None,) + cells)
         per_dim = [(dim.attr, _rank_classes(cells, dim)) for dim in STEP_RULE]
         away_classes = [(attr, away) for attr, (away, _) in per_dim]
         toward_classes = [(attr, toward) for attr, (_, toward) in per_dim]
@@ -355,7 +386,16 @@ class _AdmissibilityIndex:
             rows = [by_value[getattr(ctx, attr)] for attr, by_value in dimension_rows]
             return tuple(map(sum, zip(*rows)))
 
-        self.away, self.toward, self.distances = away, toward, distances
+        @cache
+        def generic(row: frozenset, epsilon: float) -> CategoricalDist:
+            """Uniform over the row plus the null phone, the joining mass spread over the rest."""
+            excluded = len(cells) - len(row)
+            p_adm = (1.0 - epsilon if excluded else 1.0) / (len(row) + 1)
+            exceptions = dict.fromkeys(row, p_adm)
+            exceptions[None] = p_adm
+            return CategoricalDist(exceptions, support, epsilon / excluded if excluded else 0.0)
+
+        self.away, self.toward, self.distances, self.generic = away, toward, distances, generic
 
 
 # weak keys: an index lives exactly as long as its alphabet
@@ -378,7 +418,7 @@ def admissible_targets(alphabet: Alphabet, key: CondKey) -> frozenset:
     index = _index_for(alphabet)
     ctx = [c for c in key.context if c is not None]
     if not ctx:
-        return frozenset(index.cells)
+        return index.all_cells
     if (key.unit, key.stress) in _AWAY:
         return index.away(ctx[0])
     sets = [index.toward(c) for c in ctx]
@@ -400,6 +440,11 @@ class LanguageModel:
     _memo: Callable[[CondKey], CategoricalDist] = field(init=False, repr=False)
 
     def __post_init__(self):
+        # epsilon keys the shared generic dists, so it is checked before any lookup
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ModelError(f"joining mass must satisfy 0 <= epsilon < 1, got {self.epsilon}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ModelError(f"alpha must be finite and nonnegative, got {self.alpha}")
         # per instance, so a copy made by dataclasses.replace starts empty;
         # perfbench/run.py's DIST_CACHE_SIZE restates the bound
         self._memo = lru_cache(maxsize=8192)(self._build)
@@ -409,19 +454,8 @@ class LanguageModel:
         return self.alphabet.version
 
     def generic_dist(self, key: CondKey) -> CategoricalDist:
-        """The language-neutral distribution for one key."""
-        index = _index_for(self.alphabet)
-        adm = admissible_targets(self.alphabet, key)
-        excluded = len(index.cells) - len(adm)
-        if excluded > 0:
-            p_adm = (1.0 - self.epsilon) / (len(adm) + 1)
-            p_exc = self.epsilon / excluded
-        else:
-            p_adm = 1.0 / (len(adm) + 1)
-            p_exc = 0.0
-        exceptions = dict.fromkeys(adm, p_adm)
-        exceptions[None] = p_adm
-        return CategoricalDist(exceptions, index.support, p_exc)
+        """The language-neutral distribution for one key, shared by every key with its row."""
+        return _index_for(self.alphabet).generic(admissible_targets(self.alphabet, key), self.epsilon)
 
     def dist(self, key: CondKey) -> CategoricalDist:
         """Stored table entry or generic fallback, through the transform stack."""
@@ -443,8 +477,6 @@ def generic_model(
     quantization: QuantizationConfig = DEFAULT_QUANTIZATION,
 ) -> LanguageModel:
     """Language-neutral model: no stored tables, pure generic fallback."""
-    if not 0.0 <= epsilon < 1.0:
-        raise ModelError(f"joining mass must satisfy 0 <= epsilon < 1, got {epsilon}")
     return LanguageModel(
         alphabet=alphabet, tables={}, epsilon=epsilon, alpha=0.0,
         limits=limits if limits is not None else ProsodicLimits.full(quantization.max_abs_units),
@@ -488,21 +520,6 @@ def score(model: LanguageModel, s, weights: StressWeights = StressWeights()) -> 
 # training
 
 
-def _observed_limits(phones: Iterable[Phone]) -> ProsodicLimits:
-    pvs = [p.prosody for p in phones]
-    if not pvs:
-        raise TrainingError("empty corpus")
-
-    def iv(name):
-        vals = [getattr(p, name) for p in pvs]
-        return (min(vals), max(vals))
-
-    return ProsodicLimits(
-        R=iv("R"), T=iv("T"), D=iv("D"), L=iv("L"),
-        N=frozenset(p.N for p in pvs), V=frozenset(p.V for p in pvs),
-    )
-
-
 def train(
     corpus: Iterable,
     alpha: float = 0.01,
@@ -524,13 +541,11 @@ def train(
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ModelError(f"alpha must be finite and nonnegative, got {alpha}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ModelError(f"joining mass must satisfy 0 <= epsilon < 1, got {epsilon}")
     if alphabet is None:
         from .alphabet import default_alphabet
         alphabet = default_alphabet()
     counts: Dict[CondKey, Counter] = {}
-    seen_phones: List[Phone] = []
+    prosodies: List[ProsodicVector] = []
     n_strings = 0
     for index, item in enumerate(corpus, start=1):
         phones = getattr(item, "phones", item)
@@ -543,7 +558,7 @@ def train(
             where = f"line {line}" if line is not None else f"string {index}"
             raise TrainingError(f"invalid string at {where}: {exc}") from exc
         n_strings += 1
-        seen_phones.extend(collapsed.phones)
+        prosodies.extend(p.prosody for p in collapsed.phones)
         for f in plan.factors:
             key, target = factor_key(collapsed, f)
             counts.setdefault(key, Counter())[target] += 1
@@ -560,7 +575,7 @@ def train(
             {t: (n + alpha) / denom for t, n in c.items()}, support, alpha / denom)
 
     if limits == "observed":
-        lim = _observed_limits(seen_phones)
+        lim = ProsodicLimits.observed(prosodies)
     elif limits == "full":
         lim = ProsodicLimits.full(quantization.max_abs_units)
     elif isinstance(limits, ProsodicLimits):
@@ -615,18 +630,6 @@ _MAX_ATTEMPTS = 500  # realizations a sample tries before it gives up
 # visit rank per class; right-to-left middling syllables are visited from the right
 _VISIT = {StressClass.STRESSED: 0, StressClass.MIDDLING_LTR: 1,
           StressClass.MIDDLING_RTL: 2, StressClass.UNSTRESSED: 3}
-
-
-def _draw_prosody(limits: ProsodicLimits, rng: Rng) -> ProsodicVector:
-    def iv(name):
-        lo, hi = getattr(limits, name)
-        return int(rng.integers(lo, hi + 1))
-
-    def bit(name):
-        allowed = sorted(getattr(limits, name))
-        return allowed[int(rng.integers(len(allowed)))]
-
-    return ProsodicVector(R=iv("R"), N=bit("N"), V=bit("V"), T=iv("T"), D=iv("D"), L=iv("L"))
 
 
 def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
@@ -730,7 +733,7 @@ def sample_with_rng(
             markers = _realize_markers(model, classes, rng)
         except _Resample:
             continue
-        phones = [Phone(m, _draw_prosody(model.limits, rng)) for m in markers]
+        phones = [Phone(m, model.limits.draw(rng)) for m in markers]
         try:
             collapsed, _parse, _scores, got, _plan = parse_and_plan(
                 phones, model.alphabet, weights, model.quantization)
@@ -814,7 +817,7 @@ def model_to_json(model: LanguageModel) -> dict:
         # float fields as repr strings (exact round trip), integer fields as JSON integers
         "quantization": {f.name: repr(getattr(q, f.name)) if type(f.default) is float
                          else getattr(q, f.name) for f in fields(q)},
-        "limits": limits_to_json(model.limits),
+        "limits": model.limits.to_json(),
         "tables": tables,
     }
 
@@ -860,11 +863,7 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
         quantization = QuantizationConfig(**{
             f.name: float(qj[f.name]) if type(f.default) is float else qj[f.name]
             for f in fields(QuantizationConfig)})
-        lj = obj["limits"]
-        limits = ProsodicLimits(
-            R=tuple(lj["R"]), T=tuple(lj["T"]), D=tuple(lj["D"]), L=tuple(lj["L"]),
-            N=frozenset(lj["N"]), V=frozenset(lj["V"]),
-        )
+        limits = ProsodicLimits.from_json(obj["limits"])
         full = _index_for(alphabet).support
         tables: Dict[CondKey, CategoricalDist] = {}
         units = {u.value: u for u in Unit}
@@ -886,9 +885,8 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from None
-    if not 0.0 <= epsilon < 1.0 or not (math.isfinite(alpha) and alpha >= 0):
-        raise ModelFormatError("epsilon/alpha out of range")
-    return LanguageModel(
-        alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
-        limits=limits, quantization=quantization,
-    )
+    try:
+        return LanguageModel(alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
+                             limits=limits, quantization=quantization)
+    except ModelError as exc:  # a bad epsilon or alpha is a bad file
+        raise ModelFormatError(str(exc)) from None

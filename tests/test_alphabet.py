@@ -189,3 +189,16 @@ class TestTypes:
     def test_config_requires_positive_references(self):
         with pytest.raises(ValueError):
             QuantizationConfig(reference_duration_sec=0.0)
+
+
+class TestQuantizeNonFinite:
+    @pytest.mark.parametrize("dim", ["R", "D", "T", "L"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected_with_dimension(self, dim, bad):
+        with pytest.raises(ValueError, match=f"{dim} requires a finite value"):
+            quantize(bad, dim)
+
+    def test_finite_overflow_still_clamps(self):
+        # -units_per_nat_r * 1e308 overflows to -inf before rounding
+        assert quantize(1e308, "R") == -64
+        assert quantize(-1e308, "R") == 64

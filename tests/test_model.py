@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -32,6 +33,7 @@ from phonospace import (
     train,
 )
 from phonospace.model import AlphabetMismatchError, ModelError, ModelFormatError, LanguageModel
+from phonospace.prng import Pcg64
 from conftest import random_valid_string
 from oracle import oracle_score
 
@@ -802,3 +804,98 @@ class TestKeyTypes:
             assert key == (unit, cls, ctx)
             assert hash(key) == hash((unit, cls, ctx))
             assert {key: 1}[(unit, cls, ctx)] == 1
+
+
+class TestSharedGenericLaw:
+    def test_keys_with_one_row_share_one_dist(self, alphabet):
+        m = generic_model(alphabet, 0.05)
+        onset, rhyme = CondKey(Unit.ONSET, S, (None,)), CondKey(Unit.RHYME, U, (None,))
+        assert admissible_targets(alphabet, onset) == admissible_targets(alphabet, rhyme)
+        assert m.generic_dist(onset) is m.generic_dist(rhyme)
+        assert m.dist(onset) is m.dist(rhyme)
+
+    def test_models_with_one_epsilon_share_one_dist(self, alphabet):
+        key = CondKey(Unit.RHYME, S, (list(alphabet)[40],))
+        first, second = generic_model(alphabet, 0.05), generic_model(alphabet, 0.05)
+        assert first.generic_dist(key) is second.generic_dist(key)
+
+    def test_other_epsilon_or_row_gets_its_own_dist(self, alphabet):
+        null = CondKey(Unit.ONSET, S, (None,))
+        from phonospace import Manner
+        closure = CondKey(Unit.ONSET, S, (next(m for m in alphabet if m.manner is Manner.CLOSURE),))
+        assert admissible_targets(alphabet, null) != admissible_targets(alphabet, closure)
+        m = generic_model(alphabet, 0.05)
+        assert m.generic_dist(null) is not m.generic_dist(closure)
+        other = generic_model(alphabet, 0.1).generic_dist(closure)
+        assert other is not m.generic_dist(closure) and other != m.generic_dist(closure)
+
+
+class TestModelRangeChecks:
+    @pytest.mark.parametrize("eps", [1.5, 1.0, -0.1, math.nan])
+    def test_constructor_rejects_epsilon(self, mini_alphabet, eps):
+        with pytest.raises(ModelError, match="epsilon"):
+            LanguageModel(mini_alphabet, {}, eps, 0.0, ProsodicLimits())
+        with pytest.raises(ModelError, match="epsilon"):
+            dataclasses.replace(generic_model(mini_alphabet), epsilon=eps)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
+    def test_constructor_rejects_alpha(self, mini_alphabet, alpha):
+        with pytest.raises(ModelError, match="alpha"):
+            LanguageModel(mini_alphabet, {}, 0.05, alpha, ProsodicLimits())
+        with pytest.raises(ModelError, match="alpha"):
+            dataclasses.replace(generic_model(mini_alphabet), alpha=alpha)
+
+    @pytest.mark.parametrize("name,bad,message", [
+        ("epsilon", "1.5", "joining mass"), ("epsilon", "nan", "joining mass"),
+        ("alpha", "-0.5", "alpha must be finite")])
+    def test_load_names_the_bad_value(self, mini_alphabet, name, bad, message):
+        import json
+        buf = io.StringIO()
+        save_model(generic_model(mini_alphabet), buf)
+        doc = json.loads(buf.getvalue())
+        doc[name] = bad
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(json.dumps(doc), mini_alphabet)
+
+
+def _reference_draw(limits, rng):
+    """One prosodic vector, drawn field by field as the sampler has always drawn it."""
+    def iv(name):
+        lo, hi = getattr(limits, name)
+        return int(rng.integers(lo, hi + 1))
+
+    def bit(name):
+        allowed = sorted(getattr(limits, name))
+        return allowed[int(rng.integers(len(allowed)))]
+
+    return ProsodicVector(R=iv("R"), N=bit("N"), V=bit("V"), T=iv("T"), D=iv("D"), L=iv("L"))
+
+
+_LIMITS = [
+    ProsodicLimits.full(64),
+    ProsodicLimits(R=(-2, 3), T=(0, 1), D=(-64, -60), L=(60, 64), N=frozenset({1})),
+    ProsodicLimits(R=(5, 5), T=(-64, -64), D=(0, 0), L=(64, 64),
+                   N=frozenset({0}), V=frozenset({1})),
+]
+
+
+class TestProsodicLimitsLaw:
+    @pytest.mark.parametrize("limits", _LIMITS)
+    @pytest.mark.parametrize("make_rng", [Pcg64, np.random.default_rng], ids=["pcg64", "numpy"])
+    def test_draw_matches_reference(self, limits, make_rng):
+        ours, ref = make_rng(29), make_rng(29)
+        for _ in range(300):
+            pv = limits.draw(ours)
+            assert pv == _reference_draw(limits, ref) and limits.contains(pv)
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("limits", _LIMITS)
+    def test_json_round_trip(self, limits):
+        doc = limits.to_json()
+        assert list(doc) == ["R", "T", "D", "L", "N", "V"]
+        assert ProsodicLimits.from_json(doc) == limits
+
+    def test_observed_bounds_every_vector(self):
+        pvs = [ProsodicVector(R=2, T=-3), ProsodicVector(D=5, L=-1, N=1), ProsodicVector(R=-4)]
+        assert ProsodicLimits.observed(pvs) == ProsodicLimits(
+            R=(-4, 2), T=(-3, 0), D=(0, 5), L=(-1, 0), N=frozenset({0, 1}), V=frozenset({0}))
