@@ -17,12 +17,13 @@ plus at most one superscript plus at most one subscript-o for closures).
 from __future__ import annotations
 
 import math
+import sys
 import unicodedata
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 
 class IdentityEnum(Enum):
@@ -67,17 +68,14 @@ class Place(IdentityEnum):
     GLOTTAL = "glottal"
 
 
-_MANNER_INDEX = {m: i for i, m in enumerate(Manner)}
-_FB_INDEX = {f: i for i, f in enumerate(FrontBack)}
-_OC_INDEX = {o: i for i, o in enumerate(OpenClose)}
-_PLACE_INDEX = {p: i for i, p in enumerate(Place)}
-
-_BY_VALUE = {
-    "manner": {m.value: m for m in Manner},
-    "frontBack": {f.value: f for f in FrontBack},
-    "openClose": {o.value: o for o in OpenClose},
-    "place": {p.value: p for p in Place},
-}
+# Marker's four dimensions in field order: the key of each in corpus and model records, and its enum
+_MARKER_DIMENSIONS = {"m": Manner, "fb": FrontBack, "oc": OpenClose, "pl": Place}
+# per dimension, attribute name -> member
+_MEMBERS = tuple({member.value: member for member in enum} for enum in _MARKER_DIMENSIONS.values())
+# each member's position within its dimension: the canonical order of cells
+_POSITION = {member: i for enum in _MARKER_DIMENSIONS.values() for i, member in enumerate(enum)}
+# a record's four attribute names in ASCII notation
+_RECORD_NOTATION = ":".join(f"{{{key}}}" for key in _MARKER_DIMENSIONS)
 
 
 class Marker(NamedTuple):
@@ -89,48 +87,43 @@ class Marker(NamedTuple):
     place: Place
 
     def to_ascii(self) -> str:
-        return ":".join(
-            (self.manner.value, self.front_back.value,
-             self.open_close.value, self.place.value)
-        )
+        return ":".join(member.value for member in self)
 
     @classmethod
+    @lru_cache(maxsize=None)  # only valid notation returns, so at most one entry per point of the space
     def from_ascii(cls, text: str) -> "Marker":
         parts = text.split(":")
         if len(parts) != 4:
             raise UnknownSymbolError(f"malformed marker notation: {text!r}")
         try:
-            return cls(
-                _BY_VALUE["manner"][parts[0]],
-                _BY_VALUE["frontBack"][parts[1]],
-                _BY_VALUE["openClose"][parts[2]],
-                _BY_VALUE["place"][parts[3]],
-            )
+            return _marker_of_names(parts)
         except KeyError as exc:
             raise UnknownSymbolError(f"unknown attribute name {exc.args[0]!r} in {text!r}") from None
 
     def sort_key(self) -> tuple:
-        return (
-            _MANNER_INDEX[self.manner], _FB_INDEX[self.front_back],
-            _OC_INDEX[self.open_close], _PLACE_INDEX[self.place],
-        )
+        return tuple(map(_POSITION.__getitem__, self))
 
     def __repr__(self) -> str:  # compact, round-trippable through from_ascii
         return f"Marker({self.to_ascii()})"
 
 
+def _marker_of_names(names: Sequence[str]) -> Marker:
+    """The marker with the given attribute names in field order; KeyError for an unknown name."""
+    return Marker._make(map(dict.__getitem__, _MEMBERS, names))
+
+
 def marker_to_record(marker: Marker) -> dict:
     """The marker's attributes under the record keys of corpus and model files."""
-    return {"m": marker.manner.value, "fb": marker.front_back.value,
-            "oc": marker.open_close.value, "pl": marker.place.value}
+    return {key: member.value for key, member in zip(_MARKER_DIMENSIONS, marker)}
 
 
 def marker_from_record(rec: dict) -> Marker:
     """Inverse of marker_to_record: KeyError for a missing key, UnknownSymbolError for a bad value."""
-    return Marker.from_ascii(f"{rec['m']}:{rec['fb']}:{rec['oc']}:{rec['pl']}")
+    return Marker.from_ascii(_RECORD_NOTATION.format_map(rec))
 
 
 MAX_ABS_UNITS = 64
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -150,6 +143,9 @@ class ProsodicVector:
     L: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # the fields, in order
+            if type(value) is not int:  # bool is an int subclass
+                raise ValueError(f"field {name!r} must be an integer, got {value!r}")
         if self.N not in (0, 1) or self.V not in (0, 1):
             raise ValueError("N and V are binary")
         for name in ("R", "T", "D", "L"):
@@ -168,6 +164,10 @@ class Phone:
     def __post_init__(self):
         if self.marker is None and (self.prosody is not None or self.t0 is not None):
             raise ValueError("the null phone carries no prosody or time")
+        t0 = self.t0
+        # the comparison also rejects NaN and integers too large for a float
+        if t0 is not None and (type(t0) not in (int, float) or not abs(t0) <= _FLOAT_MAX):
+            raise ValueError(f"field 't0' must be a finite number, got {t0!r}")
         if self.marker is not None and self.prosody is None:
             object.__setattr__(self, "prosody", ProsodicVector())
 
@@ -247,8 +247,9 @@ def load_alphabet(table_data: str) -> Alphabet:
     One record per populated cell: place, manner, frontBack, openClose,
     symbol, optional note. Lines starting with ``#`` are comments; a
     ``version<TAB>...`` line names the table revision. Duplicate markers
-    or symbols, unknown attribute names, and vowel cells outside the
-    glottal place are rejected.
+    or symbols, unknown attribute names, vowel cells outside the glottal
+    place and symbols containing ``:`` (reserved for ASCII notation) are
+    rejected.
     """
     version = ""
     symbol_of: dict = {}
@@ -269,12 +270,7 @@ def load_alphabet(table_data: str) -> Alphabet:
         place_s, manner_s, fb_s, oc_s, symbol = (f.strip() for f in fields[:5])
         note = fields[5].strip() if len(fields) > 5 else ""
         try:
-            marker = Marker(
-                _BY_VALUE["manner"][manner_s],
-                _BY_VALUE["frontBack"][fb_s],
-                _BY_VALUE["openClose"][oc_s],
-                _BY_VALUE["place"][place_s],
-            )
+            marker = _marker_of_names((manner_s, fb_s, oc_s, place_s))
         except KeyError as exc:
             raise AlphabetError(f"line {lineno}: unknown attribute name {exc.args[0]!r}") from None
         if marker.manner is Manner.VOWEL and marker.place is not Place.GLOTTAL:
@@ -282,6 +278,9 @@ def load_alphabet(table_data: str) -> Alphabet:
         symbol = unicodedata.normalize("NFC", symbol)
         if not symbol:
             raise AlphabetError(f"line {lineno}: empty symbol")
+        if ":" in symbol:
+            raise AlphabetError(f"line {lineno}: symbol {symbol!r} contains ':', "
+                                "which is reserved for ASCII notation")
         if marker in symbol_of:
             raise AlphabetError(f"line {lineno}: duplicate cell {marker!r}")
         if symbol in marker_of:
@@ -344,7 +343,14 @@ class QuantizationConfig:
 
 DEFAULT_QUANTIZATION = QuantizationConfig()
 
-_DIMENSIONS = ("D", "T", "L", "R")
+# the logarithmic dimensions: unit-count field, reference field, logarithm and its base;
+# R is linear in the change of log vocal tract length
+_LOG_SCALES = {
+    "D": ("units_per_octave_d", "reference_duration_sec", math.log2, 2.0),
+    "T": ("units_per_octave_t", "reference_pitch_hz", math.log2, 2.0),
+    "L": ("units_per_decade_l", "reference_loudness", math.log10, 10.0),
+}
+_DIMENSIONS = (*_LOG_SCALES, "R")
 
 
 def _round_half_away(x: float) -> int:
@@ -369,12 +375,8 @@ def quantize(value: float, dimension: str, cfg: QuantizationConfig = DEFAULT_QUA
     else:
         if value <= 0:
             raise ValueError(f"{dimension} requires a strictly positive value")
-        if dimension == "D":
-            raw = cfg.units_per_octave_d * math.log2(value / cfg.reference_duration_sec)
-        elif dimension == "T":
-            raw = cfg.units_per_octave_t * math.log2(value / cfg.reference_pitch_hz)
-        else:
-            raw = cfg.units_per_decade_l * math.log10(value / cfg.reference_loudness)
+        per, reference, log, _ = _LOG_SCALES[dimension]
+        raw = getattr(cfg, per) * log(value / getattr(cfg, reference))
     # clamped before rounding, so a finite value whose product overflows clamps too
     return _round_half_away(max(-cfg.max_abs_units, min(cfg.max_abs_units, raw)))
 
@@ -383,10 +385,7 @@ def dequantize(units: int, dimension: str, cfg: QuantizationConfig = DEFAULT_QUA
     """Linear value at the center of a quantized unit (inverse of quantize)."""
     if dimension not in _DIMENSIONS:
         raise ValueError(f"dimension must be one of {_DIMENSIONS}, got {dimension!r}")
-    if dimension == "D":
-        return cfg.reference_duration_sec * 2.0 ** (units / cfg.units_per_octave_d)
-    if dimension == "T":
-        return cfg.reference_pitch_hz * 2.0 ** (units / cfg.units_per_octave_t)
-    if dimension == "L":
-        return cfg.reference_loudness * 10.0 ** (units / cfg.units_per_decade_l)
-    return -units / cfg.units_per_nat_r
+    if dimension == "R":
+        return -units / cfg.units_per_nat_r
+    per, reference, _, base = _LOG_SCALES[dimension]
+    return getattr(cfg, reference) * base ** (units / getattr(cfg, per))

@@ -9,8 +9,7 @@ files only and are rejected in transcriptions.
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .alphabet import Phone, ProsodicVector, UnknownSymbolError, marker_from_record, marker_to_record
@@ -29,47 +28,41 @@ class CorpusString:
     phones: List[Phone]
 
 
+# the prosodic keys of a record, in field order
+_PROSODY_KEYS = tuple(f.name for f in fields(ProsodicVector))
+
+
 def phone_to_record(phone: Phone) -> dict:
     if phone.is_null:
         return {"null": True}
     pv = phone.prosody
     rec = marker_to_record(phone.marker)
-    rec.update(R=pv.R, N=pv.N, V=pv.V, T=pv.T, D=pv.D, L=pv.L)
+    rec.update(vars(pv))  # the six fields, in field order
     if phone.t0 is not None:
         rec["t0"] = phone.t0
     return rec
 
 
-_PROSODY_FIELDS = ("R", "N", "V", "T", "D", "L")
-_FLOAT_MAX = sys.float_info.max
-
-
 def phone_from_record(rec: dict, line: Optional[int] = None) -> Phone:
+    """The phone of one record; ``ProsodicVector`` and ``Phone`` own the value rules."""
     if not isinstance(rec, dict):
         raise CorpusFormatError("phone record must be a JSON object", line)
     if rec.get("null"):
         raise CorpusFormatError("null phones do not occur in transcriptions", line)
     try:
         marker = marker_from_record(rec)
-        values = {name: rec[name] for name in _PROSODY_FIELDS}
+        values = {name: rec[name] for name in _PROSODY_KEYS}
     except UnknownSymbolError as exc:
         raise CorpusFormatError(exc.args[0], line) from None
     except KeyError as exc:
         raise CorpusFormatError(f"phone record missing field {exc}", line) from None
-    for name, value in values.items():
-        if type(value) is not int:  # JSON true/false load as bool, an int subclass
-            raise CorpusFormatError(f"field {name!r} must be an integer, got {value!r}", line)
+    t0 = rec.get("t0")
     try:
-        prosody = ProsodicVector(**values)
+        phone = Phone(marker, ProsodicVector(**values), t0)
     except ValueError as exc:
         raise CorpusFormatError(str(exc), line) from None
-    t0 = rec.get("t0")
-    if t0 is not None:
-        # the comparison also rejects NaN and integers too large for a float
-        if type(t0) not in (int, float) or not abs(t0) <= _FLOAT_MAX:
-            raise CorpusFormatError(f"field 't0' must be a finite number, got {t0!r}", line)
-        t0 = float(t0)
-    return Phone(marker, prosody, t0)
+    # an integral onset reads as a float, so a rewritten corpus keeps 2.0
+    return phone if t0 is None else replace(phone, t0=float(t0))
 
 
 def read_corpus(source: Union[str, IO]) -> Iterator[CorpusString]:

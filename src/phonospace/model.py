@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -218,21 +219,28 @@ class ProsodicLimits:
     V: frozenset = frozenset({0, 1})
 
     def __post_init__(self):
-        for name in ("R", "T", "D", "L"):
-            lo, hi = getattr(self, name)
-            for bound in (lo, hi):
-                if isinstance(bound, float) and not math.isfinite(bound):
-                    raise ValueError(f"{name} interval has a non-finite bound")
-                # log_mass counts hi - lo + 1 values, which only integer bounds make a count
-                if type(bound) is not int:  # bool is an int subclass
-                    raise ValueError(f"{name} interval has a non-integer bound {bound!r}")
-            if lo > hi:
-                raise ValueError(f"{name} interval has lo > hi")
-        for name in ("N", "V"):
-            allowed = frozenset(getattr(self, name))
-            if not allowed or not allowed <= {0, 1} or not all(type(b) is int for b in allowed):
-                raise ValueError(f"{name} must allow a nonempty subset of {{0,1}}")
-            object.__setattr__(self, name, allowed)
+        allowed = {}  # per field: the values the law allows
+        for f in fields(self):
+            name = f.name
+            if type(f.default) is frozenset:  # a bit set
+                bits = frozenset(getattr(self, name))
+                if not bits or not bits <= {0, 1} or not all(type(b) is int for b in bits):
+                    raise ValueError(f"{name} must allow a nonempty subset of {{0,1}}")
+                object.__setattr__(self, name, bits)
+                allowed[name] = tuple(sorted(bits))
+            else:  # an inclusive interval
+                lo, hi = getattr(self, name)
+                for bound in (lo, hi):
+                    if isinstance(bound, float) and not math.isfinite(bound):
+                        raise ValueError(f"{name} interval has a non-finite bound")
+                    # log_mass counts hi - lo + 1 values, which only integer bounds make a count
+                    if type(bound) is not int:  # bool is an int subclass
+                        raise ValueError(f"{name} interval has a non-integer bound {bound!r}")
+                if lo > hi:
+                    raise ValueError(f"{name} interval has lo > hi")
+                allowed[name] = range(lo, hi + 1)
+        # reordered as ProsodicVector's fields, the order draw reads the rng in
+        object.__setattr__(self, "_allowed", {f.name: allowed[f.name] for f in fields(ProsodicVector)})
 
     @classmethod
     def full(cls, max_abs: int = 64) -> "ProsodicLimits":
@@ -240,36 +248,25 @@ class ProsodicLimits:
         return cls(R=iv, T=iv, D=iv, L=iv)
 
     def contains(self, pv: ProsodicVector) -> bool:
-        return (
-            self.R[0] <= pv.R <= self.R[1] and self.T[0] <= pv.T <= self.T[1]
-            and self.D[0] <= pv.D <= self.D[1] and self.L[0] <= pv.L <= self.L[1]
-            and pv.N in self.N and pv.V in self.V
-        )
+        # both in field order; range membership is exact for the integers a ProsodicVector holds
+        return all(map(operator.contains, self._allowed.values(), vars(pv).values()))
 
     def log_mass(self) -> float:
         """Log of one phone's uniform prosodic factor inside the limits."""
         out = 0.0
-        for name in ("R", "T", "D", "L"):
-            lo, hi = getattr(self, name)
-            out -= math.log(hi - lo + 1)
-        out -= math.log(len(self.N))
-        out -= math.log(len(self.V))
+        for f in fields(self):
+            out -= math.log(len(self._allowed[f.name]))
         return out
 
     def draw(self, rng: Rng) -> ProsodicVector:
         """One phone's prosody from the law ``log_mass`` charges.
 
         The rng is read in ``ProsodicVector`` field order: R, N, V, T, D, L.
+        ``rng.integers(n)`` reads what ``rng.integers(lo, lo + n)`` would, since
+        both depend only on the span.
         """
-        def iv(bounds):
-            return int(rng.integers(bounds[0], bounds[1] + 1))
-
-        def bit(allowed):
-            allowed = sorted(allowed)
-            return allowed[int(rng.integers(len(allowed)))]
-
-        return ProsodicVector(R=iv(self.R), N=bit(self.N), V=bit(self.V),
-                              T=iv(self.T), D=iv(self.D), L=iv(self.L))
+        return ProsodicVector(**{name: values[rng.integers(len(values))]
+                                 for name, values in self._allowed.items()})
 
     @classmethod
     def observed(cls, prosodies: Sequence[ProsodicVector]) -> "ProsodicLimits":

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,17 @@ from phonospace import (
     quantize,
     render_symbol,
 )
-from phonospace.alphabet import AlphabetError, InvalidMarkerError, UnknownSymbolError
+from phonospace.alphabet import (
+    AlphabetError,
+    InvalidMarkerError,
+    UnknownSymbolError,
+    marker_from_record,
+    marker_to_record,
+)
+
+
+def sha256_of_repr(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
 def test_dimension_cardinalities():
@@ -63,6 +76,33 @@ class TestLoad:
     def test_vowel_outside_glottal_rejected(self):
         with pytest.raises(AlphabetError, match="non-glottal"):
             load_alphabet("velar\tvowel\tfront\tclose\tz\n")
+
+    def test_symbol_with_colon_rejected(self):
+        # parse_symbol reads any text with a colon as ASCII notation
+        with pytest.raises(AlphabetError, match="^line 2: symbol 'Q:' contains ':'"):
+            load_alphabet("version\tx\nglottal\tvowel\tfront\tclose\tQ:\n")
+
+
+# sha256 of repr(tuple(alphabet)): the canonical order of the cells
+ALPHABET_SHA256 = {
+    "alphabet": "781e42462d7a174eba7b1b6056d97ab28eda70360df96aad9a9fd09102b728be",
+    "mini_alphabet": "efa40ed328d94aef21cc878a5895c2504bca9d92dd08e74278a4a08b19190581",
+}
+
+
+class TestMarkerCodecs:
+    @pytest.mark.parametrize("fixture", sorted(ALPHABET_SHA256))
+    def test_every_cell_round_trips(self, request, fixture):
+        for marker in request.getfixturevalue(fixture):
+            assert Marker.from_ascii(marker.to_ascii()) == marker
+            rec = marker_to_record(marker)
+            assert list(rec) == ["m", "fb", "oc", "pl"]
+            assert marker_from_record(rec) == marker
+
+    @pytest.mark.parametrize("fixture", sorted(ALPHABET_SHA256))
+    def test_canonical_order(self, request, fixture):
+        cells = tuple(request.getfixturevalue(fixture))
+        assert sha256_of_repr(cells) == ALPHABET_SHA256[fixture]
 
 
 class TestSymbols:
@@ -164,6 +204,41 @@ class TestQuantize:
         assert quantize(3.0, "L", cfg) == 0
 
 
+QUANTIZE_GRID = [-1e308, -7.5, -1.0, -0.15, -0.1, -0.05, -0.0, 0.0, 1e-300, 1e-9, 1e-3, 0.0125,
+                 0.05, 0.1, 0.1234, 0.2, 0.25, 0.5, 1.0, 2.0, 3.0, 3.7, 10.0, 100.0, 220.0, 440.0,
+                 1e3, 1e6, 1e308]
+CUSTOM_QUANTIZATION = QuantizationConfig(
+    reference_duration_sec=0.25, reference_pitch_hz=220.0, reference_loudness=3.0,
+    units_per_octave_d=3, units_per_octave_t=24, units_per_decade_l=20, units_per_nat_r=7,
+    max_abs_units=40)
+
+
+class TestQuantizeDigests:
+    """quantize over QUANTIZE_GRID (its message where it refuses a value) and dequantize
+    over -64..64, for D, T, L and R: sha256 of the repr of each list."""
+
+    CASES = [
+        (QuantizationConfig(),
+         "603d5299ce0a2f7404330fee8adfdcfc4147de99c35cbb792afdc1f3da9464f7",
+         "2fcda009bd65462e7b98fe3fb55a25585adef655d5b90d60cbb36e991c020e42"),
+        (CUSTOM_QUANTIZATION,
+         "932608ff1e0cb9ccca5127e9bd80e02ac675caf0d3e20fd52ba1cf0a75268bbd",
+         "69f3ad288a5920033d5627d8597f391b05d51efbce051e4b38cb77d77d21ae2c"),
+    ]
+
+    @pytest.mark.parametrize("cfg,quantized,dequantized", CASES, ids=["default", "custom"])
+    def test_digests(self, cfg, quantized, dequantized):
+        def q(value, dim):
+            try:
+                return quantize(value, dim, cfg)
+            except ValueError as exc:
+                return str(exc)
+
+        assert sha256_of_repr([q(v, dim) for dim in "DTLR" for v in QUANTIZE_GRID]) == quantized
+        assert sha256_of_repr([dequantize(u, dim, cfg) for dim in "DTLR"
+                               for u in range(-64, 65)]) == dequantized
+
+
 class TestTypes:
     def test_prosodic_vector_bits(self):
         with pytest.raises(ValueError):
@@ -175,6 +250,24 @@ class TestTypes:
         with pytest.raises(ValueError):
             ProsodicVector(T=65)
         ProsodicVector(T=64, D=-64)
+
+    @pytest.mark.parametrize("name,value", [("T", float("nan")), ("D", 1.5), ("R", 3.0),
+                                            ("N", True), ("V", False), ("L", "2"), ("D", None)])
+    def test_prosodic_vector_requires_integers(self, name, value):
+        message = f"field {name!r} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProsodicVector(**{name: value})
+
+    @pytest.mark.parametrize("t0", [float("nan"), float("inf"), float("-inf"), True, "0.1", 10**400],
+                             ids=["nan", "inf", "-inf", "True", "str", "int-past-float"])
+    def test_phone_requires_finite_t0(self, mk, t0):
+        message = f"field 't0' must be a finite number, got {t0!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Phone(mk("vowel:front:close:glottal"), t0=t0)
+
+    def test_phone_keeps_finite_t0(self, mk):
+        vowel = mk("vowel:front:close:glottal")
+        assert Phone(vowel, t0=2).t0 == 2 and Phone(vowel, t0=-0.5).t0 == -0.5
 
     def test_null_phone(self):
         null = Phone(None)

@@ -871,6 +871,23 @@ def _reference_draw(limits, rng):
     return ProsodicVector(R=iv("R"), N=bit("N"), V=bit("V"), T=iv("T"), D=iv("D"), L=iv("L"))
 
 
+def _reference_contains(limits, pv):
+    """Membership by the explicit per-field comparison."""
+    return (limits.R[0] <= pv.R <= limits.R[1] and limits.T[0] <= pv.T <= limits.T[1]
+            and limits.D[0] <= pv.D <= limits.D[1] and limits.L[0] <= pv.L <= limits.L[1]
+            and pv.N in limits.N and pv.V in limits.V)
+
+
+def _reference_log_mass(limits):
+    out = 0.0
+    for name in ("R", "T", "D", "L"):
+        lo, hi = getattr(limits, name)
+        out -= math.log(hi - lo + 1)
+    out -= math.log(len(limits.N))
+    out -= math.log(len(limits.V))
+    return out
+
+
 _LIMITS = [
     ProsodicLimits.full(64),
     ProsodicLimits(R=(-2, 3), T=(0, 1), D=(-64, -60), L=(60, 64), N=frozenset({1})),
@@ -888,6 +905,31 @@ class TestProsodicLimitsLaw:
             pv = limits.draw(ours)
             assert pv == _reference_draw(limits, ref) and limits.contains(pv)
         assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("limits", _LIMITS)
+    def test_contains_matches_reference(self, limits):
+        inside = {name: getattr(limits, name)[0] for name in ("R", "T", "D", "L")}
+        inside.update(N=min(limits.N), V=min(limits.V))
+        vectors = []
+        for name in ("R", "T", "D", "L"):  # each bound and one past it
+            lo, hi = getattr(limits, name)
+            vectors += [ProsodicVector(**{**inside, name: v})
+                        for v in (lo - 1, lo, hi, hi + 1) if abs(v) <= 64]
+        vectors += [ProsodicVector(**{**inside, name: b}) for name in ("N", "V") for b in (0, 1)]
+        rng = np.random.default_rng(41)
+        for _ in range(1000):  # random vectors within two of each interval
+            near = {"N": int(rng.integers(2)), "V": int(rng.integers(2))}
+            for name in ("R", "T", "D", "L"):
+                lo, hi = getattr(limits, name)
+                near[name] = int(np.clip(rng.integers(lo - 2, hi + 3), -64, 64))
+            vectors.append(ProsodicVector(**near))
+        verdicts = [limits.contains(pv) for pv in vectors]
+        assert verdicts == [_reference_contains(limits, pv) for pv in vectors]
+        assert any(verdicts)
+
+    @pytest.mark.parametrize("limits", _LIMITS)
+    def test_log_mass_matches_reference(self, limits):
+        assert limits.log_mass() == _reference_log_mass(limits)
 
     @pytest.mark.parametrize("limits", _LIMITS)
     def test_json_round_trip(self, limits):

@@ -78,6 +78,16 @@ class TestValidate:
         codes = [v.code for v in string_violations(bad)]
         assert "timeNotStrictlyIncreasing" in codes
 
+    def test_nan_onset_cannot_hide_disorder(self, m):
+        def string(middle_t0):
+            return [Phone(m["c"], ProsodicVector(), 0.1), Phone(m["i"], ProsodicVector(), middle_t0),
+                    Phone(m["c"], ProsodicVector(), 0.05)]
+
+        assert "timeNotStrictlyIncreasing" in [v.code for v in string_violations(string(None))]
+        # a NaN onset would compare false both ways and hide the disorder
+        with pytest.raises(ValueError, match="field 't0' must be a finite number, got nan"):
+            string(float("nan"))
+
     def test_marker_membership(self, m, alphabet, mk):
         ghost = mk("nasal:front:close:glottal")  # not a populated cell
         codes = [v.code for v in string_violations(
