@@ -162,6 +162,10 @@ class Phone:
     t0: Optional[float] = None
 
     def __post_init__(self):
+        if self.marker is not None and not isinstance(self.marker, Marker):
+            raise ValueError(f"field 'marker' must be a Marker or None, got {self.marker!r}")
+        if self.prosody is not None and not isinstance(self.prosody, ProsodicVector):
+            raise ValueError(f"field 'prosody' must be a ProsodicVector or None, got {self.prosody!r}")
         if self.marker is None and (self.prosody is not None or self.t0 is not None):
             raise ValueError("the null phone carries no prosody or time")
         t0 = self.t0
@@ -385,6 +389,11 @@ def dequantize(units: int, dimension: str, cfg: QuantizationConfig = DEFAULT_QUA
     """Linear value at the center of a quantized unit (inverse of quantize)."""
     if dimension not in _DIMENSIONS:
         raise ValueError(f"dimension must be one of {_DIMENSIONS}, got {dimension!r}")
+    if type(units) is not int:  # bool is an int subclass
+        raise ValueError(f"{dimension} requires an integer number of units, got {units!r}")
+    # a ProsodicVector's range, not cfg.max_abs_units: any vector's units dequantize
+    if abs(units) > MAX_ABS_UNITS:
+        raise ValueError(f"{dimension} requires units in [-{MAX_ABS_UNITS}, {MAX_ABS_UNITS}], got {units}")
     if dimension == "R":
         return -units / cfg.units_per_nat_r
     per, reference, _, base = _LOG_SCALES[dimension]

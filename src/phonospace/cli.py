@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--loud", type=float, default=1.0)
     p.add_argument("--pitch", type=float, default=1.0,
-                   help="finite and > 0; no transform reads it yet (see ROADMAP item 4)")
+                   help="finite and > 0; no transform reads it yet (see the ROADMAP item "
+                        "'Variation conditioned on each string's own prosody')")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_vary)
 

@@ -269,13 +269,15 @@ class ProsodicLimits:
                                  for name, values in self._allowed.items()})
 
     @classmethod
-    def observed(cls, prosodies: Sequence[ProsodicVector]) -> "ProsodicLimits":
-        """The smallest limits that contain every given vector (at least one)."""
-        def span(f):
-            values = [getattr(pv, f.name) for pv in prosodies]
-            return frozenset(values) if type(f.default) is frozenset else (min(values), max(values))
-
-        return cls(**{f.name: span(f) for f in fields(cls)})
+    def observed(cls, prosodies: Iterable[ProsodicVector]) -> "ProsodicLimits":
+        """The smallest limits that contain every given vector (at least one), read in one pass."""
+        names = [f.name for f in fields(ProsodicVector)]
+        seen = [set() for _ in names]  # per field, at most the 129 values a vector can hold
+        for pv in prosodies:
+            for values, v in zip(seen, vars(pv).values()):
+                values.add(v)
+        # a bit set is the values of its (min, max) pair, as N and V hold only 0 or 1
+        return cls(**{name: (min(values), max(values)) for name, values in zip(names, seen)})
 
     def to_json(self) -> dict:
         """The limits as saved in a model file and shown by ``info``, in field order."""
@@ -542,25 +544,25 @@ def train(
         from .alphabet import default_alphabet
         alphabet = default_alphabet()
     counts: Dict[CondKey, Counter] = {}
-    prosodies: List[ProsodicVector] = []
-    n_strings = 0
-    for index, item in enumerate(corpus, start=1):
-        phones = getattr(item, "phones", item)
-        line = getattr(item, "line", None)
-        try:
-            collapsed, *_, plan = parse_and_plan(phones, alphabet, weights, quantization)
-        except InvalidPhoneString as exc:
-            if skip_invalid:
-                continue
-            where = f"line {line}" if line is not None else f"string {index}"
-            raise TrainingError(f"invalid string at {where}: {exc}") from exc
-        n_strings += 1
-        prosodies.extend(p.prosody for p in collapsed.phones)
-        for f in plan.factors:
-            key, target = factor_key(collapsed, f)
-            counts.setdefault(key, Counter())[target] += 1
-    if n_strings == 0:
-        raise TrainingError("empty corpus")
+
+    def prosodies():  # counts each valid string's factors and yields its collapsed prosodies
+        for index, item in enumerate(corpus, start=1):
+            phones = getattr(item, "phones", item)
+            line = getattr(item, "line", None)
+            try:
+                collapsed, *_, plan = parse_and_plan(phones, alphabet, weights, quantization)
+            except InvalidPhoneString as exc:
+                if skip_invalid:
+                    continue
+                where = f"line {line}" if line is not None else f"string {index}"
+                raise TrainingError(f"invalid string at {where}: {exc}") from exc
+            for f in plan.factors:
+                key, target = factor_key(collapsed, f)
+                counts.setdefault(key, Counter())[target] += 1
+            yield from (p.prosody for p in collapsed.phones)
+        if not counts:  # a valid string's plan targets its boundary closures, so it has a factor
+            raise TrainingError("empty corpus")
+    observed = ProsodicLimits.observed(prosodies())
 
     support = _index_for(alphabet).support
     s_size = len(support.targets)
@@ -572,16 +574,14 @@ def train(
             {t: (n + alpha) / denom for t, n in c.items()}, support, alpha / denom)
 
     if limits == "observed":
-        lim = ProsodicLimits.observed(prosodies)
+        limits = observed
     elif limits == "full":
-        lim = ProsodicLimits.full(quantization.max_abs_units)
-    elif isinstance(limits, ProsodicLimits):
-        lim = limits
-    else:
+        limits = ProsodicLimits.full(quantization.max_abs_units)
+    elif not isinstance(limits, ProsodicLimits):
         raise ModelError(f"unknown limits policy {limits!r}")
     return LanguageModel(
         alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
-        limits=lim, quantization=quantization,
+        limits=limits, quantization=quantization,
     )
 
 

@@ -265,6 +265,19 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Phone(mk("vowel:front:close:glottal"), t0=t0)
 
+    @pytest.mark.parametrize("marker", ["vowel", 0, ("vowel", "front", "close", "glottal")],
+                             ids=["str", "int", "tuple"])
+    def test_phone_requires_marker(self, marker):
+        message = f"field 'marker' must be a Marker or None, got {marker!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Phone(marker)
+
+    @pytest.mark.parametrize("prosody", [{"R": 1}, (0, 0, 0, 0, 0, 0), 0], ids=["dict", "tuple", "int"])
+    def test_phone_requires_prosodic_vector(self, mk, prosody):
+        message = f"field 'prosody' must be a ProsodicVector or None, got {prosody!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Phone(mk("vowel:front:close:glottal"), prosody)
+
     def test_phone_keeps_finite_t0(self, mk):
         vowel = mk("vowel:front:close:glottal")
         assert Phone(vowel, t0=2).t0 == 2 and Phone(vowel, t0=-0.5).t0 == -0.5
@@ -295,3 +308,21 @@ class TestQuantizeNonFinite:
         # -units_per_nat_r * 1e308 overflows to -inf before rounding
         assert quantize(1e308, "R") == -64
         assert quantize(-1e308, "R") == 64
+
+
+class TestDequantizeUnits:
+    @pytest.mark.parametrize("dim", ["R", "D", "T", "L"])
+    @pytest.mark.parametrize("units", [float("nan"), 1.5, 3.0, True, "2", None],
+                             ids=["nan", "1.5", "3.0", "True", "str", "None"])
+    def test_requires_integer_units(self, dim, units):
+        message = f"{dim} requires an integer number of units, got {units!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dequantize(units, dim)
+
+    @pytest.mark.parametrize("dim", ["R", "D", "T", "L"])
+    @pytest.mark.parametrize("units", [65, -65, 5000, -10**400],
+                             ids=["65", "-65", "5000", "-10**400"])
+    def test_requires_the_vector_range(self, dim, units):
+        message = f"{dim} requires units in [-64, 64], got {units}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dequantize(units, dim, CUSTOM_QUANTIZATION)
