@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 from .alphabet import (
     DEFAULT_QUANTIZATION,
@@ -95,12 +95,14 @@ class CondKey(NamedTuple):
     context: Tuple[Target, ...]
 
     def sort_key(self) -> tuple:
-        units = list(Unit)
-        classes = list(StressClass)
         return (
-            units.index(self.unit), classes.index(self.stress),
-            len(self.context), tuple(_target_sort_key(c) for c in self.context),
+            _DECLARED[self.unit], _DECLARED[self.stress],
+            len(self.context), tuple(map(_target_sort_key, self.context)),
         )
+
+
+# each unit's and each stress class's position in its enum's declaration
+_DECLARED = {m: i for enum in (Unit, StressClass) for i, m in enumerate(enum)}
 
 
 class Support:
@@ -445,8 +447,11 @@ class LanguageModel:
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ModelError(f"alpha must be finite and nonnegative, got {self.alpha}")
         # per instance, so a copy made by dataclasses.replace starts empty;
-        # perfbench/run.py's DIST_CACHE_SIZE restates the bound
-        self._memo = lru_cache(maxsize=8192)(self._build)
+        # perfbench/run.py's DIST_CACHE_SIZE restates the bound. The memo reaches
+        # its model through a weak reference, so the two form no reference cycle
+        # and a dropped model is freed at once, without the cyclic collector.
+        model = ref(self)
+        self._memo = lru_cache(maxsize=8192)(lambda key: model()._build(key))
 
     @property
     def alphabet_version(self) -> str:
@@ -540,6 +545,10 @@ def train(
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ModelError(f"alpha must be finite and nonnegative, got {alpha}")
+    if limits == "full":
+        limits = ProsodicLimits.full(quantization.max_abs_units)
+    elif limits != "observed" and not isinstance(limits, ProsodicLimits):
+        raise ModelError(f"unknown limits policy {limits!r}")
     if alphabet is None:
         from .alphabet import default_alphabet
         alphabet = default_alphabet()
@@ -573,15 +582,9 @@ def train(
         tables[key] = CategoricalDist(
             {t: (n + alpha) / denom for t, n in c.items()}, support, alpha / denom)
 
-    if limits == "observed":
-        limits = observed
-    elif limits == "full":
-        limits = ProsodicLimits.full(quantization.max_abs_units)
-    elif not isinstance(limits, ProsodicLimits):
-        raise ModelError(f"unknown limits policy {limits!r}")
     return LanguageModel(
         alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
-        limits=limits, quantization=quantization,
+        limits=observed if limits == "observed" else limits, quantization=quantization,
     )
 
 
@@ -777,36 +780,86 @@ def _target_from_json(obj, alphabet: Alphabet) -> Target:
     return marker
 
 
-def model_to_json(model: LanguageModel) -> dict:
+def _target_decoder(alphabet: Alphabet) -> Callable[[object], Target]:
+    """``_target_from_json`` for one document, each distinct record decoded once.
+
+    A record is remembered by its items, and records with equal items
+    decode alike. Anything else (not a dict, or a dict holding a list or
+    a dict) is decoded each time it occurs; it is malformed, so the first
+    occurrence raises.
+    """
+    decoded: Dict[tuple, Target] = {}
+
+    def decode(obj) -> Target:
+        if type(obj) is not dict:
+            return _target_from_json(obj, alphabet)
+        items = tuple(obj.items())
+        try:
+            return decoded[items]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable value
+            return _target_from_json(obj, alphabet)
+        target = decoded[items] = _target_from_json(obj, alphabet)
+        return target
+
+    return decode
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``, so its lookups can be mapped."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def model_to_json(model: LanguageModel) -> str:
+    """The model document as one line of canonical JSON.
+
+    The text is what ``json.dumps`` gives for the document object, joined
+    from fragments encoded once: each target's record once per call and
+    each distinct probability once per distribution.
+    """
     q = model.quantization
     full = _index_for(model.alphabet).support.targets
     position = {t: i for i, t in enumerate(full)}
-    as_json: Dict[Target, dict] = {}  # each target's object, built once
+    records = _Memo(lambda t: _dumps({"null": True} if t is None else marker_to_record(t)))
+    pair_heads = _Memo(lambda t: f"[{records[t]},")
+    values = _Memo(lambda member: _dumps(member.value))  # units and stress classes
 
-    def target_json(t: Target) -> dict:
-        got = as_json.get(t)
-        if got is None:
-            got = as_json[t] = {"null": True} if t is None else marker_to_record(t)
-        return got
+    def pairs(targets: Sequence[Target], probs: Sequence[float]) -> str:
+        # a number's repr needs no JSON escaping
+        distinct = set(probs)
+        if 0.0 in distinct or set(map(type, distinct)) != {float}:
+            # 0.0 and -0.0 are one key but two reprs, as equal values of other types may be
+            tails = [f'"{p!r}"]' for p in probs]
+        else:
+            tails = map({p: f'"{p!r}"]' for p in distinct}.__getitem__, probs)
+        return ",".join(map(operator.add, map(pair_heads.__getitem__, targets), tails))
 
     tables = []
     for key in sorted(model.tables, key=CondKey.sort_key):
         d = model.dist(key)  # through the transform stack
-        entry = {
-            "key": {
-                "unit": key.unit.value, "stress": key.stress.value,
-                "context": [target_json(c) for c in key.context],
-            },
-        }
+        head = (f'{{"key":{{"unit":{values[key.unit]},"stress":{values[key.stress]},'
+                f'"context":[{",".join(map(records.__getitem__, key.context))}]}},"dist":[')
         if d.support() == full:
             exc = d.exceptions
             listed = sorted(exc, key=position.__getitem__)  # canonical order
-            entry["dist"] = [[target_json(t), repr(exc[t])] for t in listed]
-            entry["floor"] = repr(d.floor)
+            body = pairs(listed, list(map(exc.__getitem__, listed)))
+            tables.append(f'{head}{body}],"floor":"{d.floor!r}"}}')
         else:
-            entry["dist"] = [[target_json(t), repr(p)] for t, p in d.entries]
-        tables.append(entry)
-    return {
+            targets, probs = zip(*d.entries)
+            tables.append(f"{head}{pairs(targets, probs)}]}}")
+    header = _dumps({
         "format": FORMAT_VERSION,
         "alphabet_version": model.alphabet_version,
         "epsilon": repr(model.epsilon),
@@ -815,8 +868,9 @@ def model_to_json(model: LanguageModel) -> dict:
         "quantization": {f.name: repr(getattr(q, f.name)) if type(f.default) is float
                          else getattr(q, f.name) for f in fields(q)},
         "limits": model.limits.to_json(),
-        "tables": tables,
-    }
+    })
+    # the tables are the document's last field
+    return f'{header[:-1]},"tables":[{",".join(tables)}]}}'
 
 
 def save_model(model: LanguageModel, destination) -> None:
@@ -826,7 +880,7 @@ def save_model(model: LanguageModel, destination) -> None:
     stack; unseen keys revert to the untransformed generic fallback when
     the file is loaded again.
     """
-    text = json.dumps(model_to_json(model), separators=(",", ":"), ensure_ascii=True) + "\n"
+    text = model_to_json(model) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:
@@ -865,15 +919,14 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
         tables: Dict[CondKey, CategoricalDist] = {}
         units = {u.value: u for u in Unit}
         stresses = {c.value: c for c in StressClass}
+        decode = _target_decoder(alphabet)
         for entry in obj["tables"]:
             kj = entry["key"]
             key = CondKey(
-                units[kj["unit"]], stresses[kj["stress"]],
-                tuple(_target_from_json(c, alphabet) for c in kj["context"]),
-            )
+                units[kj["unit"]], stresses[kj["stress"]], tuple(map(decode, kj["context"])))
             if key in tables:
                 raise ModelFormatError(f"duplicate key {key!r}")
-            listed = [(_target_from_json(t, alphabet), float(p)) for t, p in entry["dist"]]
+            listed = [(decode(t), float(p)) for t, p in entry["dist"]]
             # a floor implies the full support; so does a (version 1) listing of every target
             full_support = "floor" in entry or len(listed) == len(full.targets)
             tables[key] = CategoricalDist(listed, full if full_support else None,

@@ -11,7 +11,9 @@ regime of all ones, is the identity for every kind.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alphabet import FrontBack, IdentityEnum, Manner, Marker, OpenClose, Place
@@ -166,14 +168,19 @@ class AppliedTransform:
         # per cell, the summed distance to the contexts; one exp per distinct sum
         sums = list(map(sum, zip(*(index.distances(c) for c in contexts))))
         factor = {s: math.exp(-(beta - 1.0) * (s / n)) for s in set(sums)}
-        weight = dict(zip(index.cells, map(factor.__getitem__, sums)))
-        # the null phone (deletion, the maximal shortening) is at distance 0
-        probs = {t: p * (1.0 if t is None else weight[t]) for t, p in dist.entries}
-        total = sum(probs.values())
+        # per target of the full support: the null phone (deletion, the maximal
+        # shortening) is at distance 0, then the cells in canonical order
+        weights = [1.0, *map(factor.__getitem__, sums)]
+        support = dist.support()
+        if support is not index.support.targets:  # a distribution over fewer targets
+            weights = list(map(dict(zip(index.support.targets, weights)).__getitem__, support))
+        masses = map(dist.exceptions.get, support, repeat(dist.floor))
+        probs = list(map(operator.mul, masses, weights))
+        total = sum(probs)  # in entry order
         if total <= 0.0:
             return dist
         # every target's mass changes; the rebuild picks the new floor
-        return dist.rebuilt({t: p / total for t, p in probs.items()}, 0.0)
+        return dist.rebuilt(dict(zip(support, map(operator.truediv, probs, repeat(total)))), 0.0)
 
 
 def apply(model: LanguageModel, regime: Regime, spec: TransformSpec) -> LanguageModel:

@@ -379,3 +379,65 @@ class TestModelFileSymbols:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "clossure" in err and "missing field" not in err
+
+
+class TestVaryBytes:
+    # the CI no-numpy job checks the varied.json it writes against this digest;
+    # taken from the serializer that encoded one JSON object per table entry
+    VARIED = "a64d578db428d27872e4b854bdb529d5530f00a4a0f43545f5d3b05084575461"
+
+    def test_straightened_sample_model(self, tmp_path):
+        import hashlib
+        corpus, model, varied = (str(tmp_path / n) for n in ("c.jsonl", "m.json", "v.json"))
+        code, out, err = run(["sample", "-n", "50", "--seed", "7"])
+        assert code == 0, err
+        Path(corpus).write_text(out, encoding="utf-8")
+        assert run(["train", corpus, "--out", model])[0] == 0
+        code, _, err = run(["vary", "--model", model, "--transform", "straightening",
+                            "--lambda", "0.5", "--rate", "2", "--out", varied])
+        assert code == 0, err
+        assert hashlib.sha256(Path(varied).read_bytes()).hexdigest() == self.VARIED
+
+
+class TestModelRecordErrors:
+    """Each malformed target record keeps its message and exit code, wherever it occurs.
+
+    The messages are those of the loader that decoded every record on its own.
+    """
+
+    CLOSURE = {"m": "closure", "fb": "central", "oc": "close", "pl": "palatAlveoLabial"}
+    CASES = {
+        "not a dict": (["closure"], "bad target entry: ['closure']"),
+        "missing field": ({k: v for k, v in CLOSURE.items() if k != "pl"},
+                          "target entry missing field 'pl'"),
+        "unknown value": (dict(CLOSURE, m="clossure"),
+                          "unknown attribute name 'clossure' in "
+                          "'clossure:central:close:palatAlveoLabial'"),
+        "not in alphabet": ({"m": "vowel", "fb": "front", "oc": "open", "pl": "glottal"},
+                            "marker Marker(vowel:front:open:glottal) not in alphabet 'mini-1.0'"),
+        "integer value": (dict(CLOSURE, m=3),
+                          "unknown attribute name '3' in '3:central:close:palatAlveoLabial'"),
+        "list value": (dict(CLOSURE, m=["closure"]),
+                       "unknown attribute name \"['closure']\" in "
+                       "\"['closure']:central:close:palatAlveoLabial\""),
+    }
+
+    @pytest.mark.parametrize("where", ["context", "dist"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_message_and_exit_code(self, tmp_path, mini_alphabet, mk, mini_path, where, case):
+        from phonospace import save_model, train
+        closure, vowel = mk("closure:central:close:palatAlveoLabial"), mk("vowel:front:close:glottal")
+        string = [Phone(m, ProsodicVector()) for m in (closure, vowel, closure)]
+        buf = io.StringIO()
+        save_model(train([string], alphabet=mini_alphabet), buf)
+        doc = json.loads(buf.getvalue())
+        record, message = self.CASES[case]
+        entry = doc["tables"][-1]  # its records repeat ones decoded before it
+        if where == "context":
+            entry["key"]["context"][0] = record
+        else:
+            entry["dist"].append([record, "0.0"])
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))
+        code, out, err = run(["--alphabet", mini_path, "info", "--model", str(model_path)])
+        assert (code, out, err) == (3, "", f"error: {message}\n")

@@ -1007,3 +1007,51 @@ class TestTrainingMemory:
         # CPython 3.11 over eight corpus seeds
         extra_phones = 9 * sum(map(len, shapes))
         assert tenfold - once < 32 * extra_phones, (once, tenfold, extra_phones)
+
+
+class TestModelLifetime:
+    def test_dropped_model_is_freed_without_the_cyclic_collector(self, mini_alphabet):
+        import weakref
+        rng = np.random.default_rng(5)
+        corpus = [random_valid_string(rng, mini_alphabet, max_len=9, prosody_span=2)
+                  for _ in range(3)]
+        gc.collect()
+        gc.disable()
+        try:
+            model = train(corpus, alphabet=mini_alphabet)
+            for key in list(model.tables)[:5]:
+                model.dist(key)
+            score(model, corpus[0])  # fallback keys too
+            dropped = weakref.ref(model)
+            del model
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+
+class TestLimitsPolicy:
+    def test_unknown_policy_rejected_before_reading(self, mini_alphabet):
+        rng = np.random.default_rng(6)
+        strings = [random_valid_string(rng, mini_alphabet, max_len=9, prosody_span=2)
+                   for _ in range(3)]
+        read = []
+
+        def corpus():
+            for s in strings:
+                read.append(s)
+                yield s
+
+        with pytest.raises(ModelError, match="unknown limits policy 'bogus'"):
+            train(corpus(), alphabet=mini_alphabet, limits="bogus")
+        assert read == []
+
+    @pytest.mark.parametrize("policy", ["observed", "full", ProsodicLimits.full(3)])
+    def test_known_policies_still_train(self, mini_alphabet, policy):
+        rng = np.random.default_rng(6)
+        corpus = [random_valid_string(rng, mini_alphabet, max_len=9, prosody_span=2)
+                  for _ in range(3)]
+        model = train(corpus, alphabet=mini_alphabet, limits=policy)
+        collapsed = [parse_and_plan(s, mini_alphabet)[0] for s in corpus]
+        expected = {"observed": ProsodicLimits.observed(p.prosody for s in collapsed for p in s.phones),
+                    "full": ProsodicLimits.full()}.get(policy, policy)
+        assert model.limits == expected

@@ -278,3 +278,23 @@ class TestFollowingContextSlot:
                     assert slot == later[0]
                 else:
                     assert slot is None or f.context[slot] is None
+
+
+def test_straightening_a_partial_support_matches_the_reference(mini_alphabet, mk):
+    # a distribution over fewer targets than the alphabet has keeps its own support
+    import math
+    from phonospace import ProsodicLimits
+    closure, vowel, nasal = (mk(a) for a in ("closure:central:close:palatAlveoLabial",
+                                             "vowel:front:close:glottal",
+                                             "nasal:central:close:palatAlveoLabial"))
+    key = CondKey(Unit.RHYME, S, (vowel,))
+    d = CategoricalDist([(None, 0.25), (nasal, 0.5), (closure, 0.25)])
+    model = LanguageModel(alphabet=mini_alphabet, tables={key: d}, epsilon=0.05, alpha=0.0,
+                          limits=ProsodicLimits.full())
+    varied = apply(model, Regime(rate=2.0), TransformSpec(TransformKind.STRAIGHTENING, 1.0))
+    probs = {t: p * (1.0 if t is None else math.exp(-ordinal_distance(vowel, t)))
+             for t, p in d.entries}
+    total = sum(probs.values())
+    got = varied.dist(key)
+    assert got.support() == d.support()
+    assert got.entries == tuple((t, p / total) for t, p in probs.items())
