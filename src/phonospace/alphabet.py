@@ -107,6 +107,24 @@ class Marker(NamedTuple):
         return f"Marker({self.to_ascii()})"
 
 
+def _checked_marker(cls, *fields, **named) -> Marker:
+    """``Marker(...)``: each field must be a member of its dimension's enum.
+
+    ``typing.NamedTuple`` allows no ``__new__`` in the class body, so the
+    check wraps the generated one. ``Marker._make`` builds the tuple without
+    it, which ``_marker_of_names`` relies on: it reads only ``_MEMBERS``.
+    """
+    marker = _unchecked_marker(cls, *fields, **named)
+    for name, enum, member in zip(Marker._fields, _MARKER_DIMENSIONS.values(), marker):
+        if type(member) is not enum:
+            raise ValueError(f"field {name!r} must be a {enum.__name__}, got {member!r}")
+    return marker
+
+
+_unchecked_marker = Marker.__new__
+Marker.__new__ = staticmethod(_checked_marker)
+
+
 def _marker_of_names(names: Sequence[str]) -> Marker:
     """The marker with the given attribute names in field order; KeyError for an unknown name."""
     return Marker._make(map(dict.__getitem__, _MEMBERS, names))

@@ -203,6 +203,8 @@ def cmd_info(args) -> int:
             "alpha": model.alpha,
             "limits": model.limits.to_json(),
         }
+        if model.transforms:  # as saved in the model file, in stack order
+            doc["model"]["transforms"] = [t.to_json() for t in model.transforms]
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 

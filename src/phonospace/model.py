@@ -758,8 +758,10 @@ def sample(
 # serialization
 
 FORMAT_VERSION = "phonospace-model-2"
+# a version-3 document is a version-2 document with a "transforms" stack before its tables
+STACK_FORMAT_VERSION = "phonospace-model-3"
 # a version-1 document is a version-2 document whose entries carry no floor
-READABLE_FORMATS = ("phonospace-model-1", FORMAT_VERSION)
+READABLE_FORMATS = ("phonospace-model-1", FORMAT_VERSION, STACK_FORMAT_VERSION)
 
 
 def _target_from_json(obj, alphabet: Alphabet) -> Target:
@@ -848,7 +850,7 @@ def model_to_json(model: LanguageModel) -> str:
 
     tables = []
     for key in sorted(model.tables, key=CondKey.sort_key):
-        d = model.dist(key)  # through the transform stack
+        d = model.tables[key]  # as stored: the transform stack is saved on its own
         head = (f'{{"key":{{"unit":{values[key.unit]},"stress":{values[key.stress]},'
                 f'"context":[{",".join(map(records.__getitem__, key.context))}]}},"dist":[')
         if d.support() == full:
@@ -859,8 +861,8 @@ def model_to_json(model: LanguageModel) -> str:
         else:
             targets, probs = zip(*d.entries)
             tables.append(f"{head}{pairs(targets, probs)}]}}")
-    header = _dumps({
-        "format": FORMAT_VERSION,
+    doc = {
+        "format": STACK_FORMAT_VERSION if model.transforms else FORMAT_VERSION,
         "alphabet_version": model.alphabet_version,
         "epsilon": repr(model.epsilon),
         "alpha": repr(model.alpha),
@@ -868,7 +870,10 @@ def model_to_json(model: LanguageModel) -> str:
         "quantization": {f.name: repr(getattr(q, f.name)) if type(f.default) is float
                          else getattr(q, f.name) for f in fields(q)},
         "limits": model.limits.to_json(),
-    })
+    }
+    if model.transforms:  # in stack order, applied first to last
+        doc["transforms"] = [t.to_json() for t in model.transforms]
+    header = _dumps(doc)
     # the tables are the document's last field
     return f'{header[:-1]},"tables":[{",".join(tables)}]}}'
 
@@ -876,9 +881,10 @@ def model_to_json(model: LanguageModel) -> str:
 def save_model(model: LanguageModel, destination) -> None:
     """Canonical single-line JSON document (byte-stable round trips).
 
-    A model carrying lazy transforms writes its stored keys through the
-    stack; unseen keys revert to the untransformed generic fallback when
-    the file is loaded again.
+    The stored tables are written as they are, untransformed. A model
+    carrying lazy transforms also writes its stack, and ``load_model``
+    rebuilds it, so the reloaded model applies the stack lazily to every
+    lookup, stored or not, as the saved one did.
     """
     text = model_to_json(model) + "\n"
     if hasattr(destination, "write"):
@@ -936,7 +942,27 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from None
     try:
-        return LanguageModel(alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
-                             limits=limits, quantization=quantization)
+        model = LanguageModel(alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
+                              limits=limits, quantization=quantization)
     except ModelError as exc:  # a bad epsilon or alpha is a bad file
         raise ModelFormatError(str(exc)) from None
+    return _with_stack(model, obj)
+
+
+def _with_stack(model: LanguageModel, obj: dict) -> LanguageModel:
+    """The model with the document's transform stack, which only a version-3 document holds."""
+    stack = obj.get("transforms")
+    if obj["format"] != STACK_FORMAT_VERSION:
+        if stack is not None:
+            raise ModelFormatError(f"a transform stack needs format {STACK_FORMAT_VERSION!r}")
+        return model
+    from .variation import AppliedTransform, apply  # variation imports this module
+    if type(stack) is not list or not stack:
+        raise ModelFormatError("a version-3 document needs a nonempty \"transforms\" list")
+    for i, entry in enumerate(stack, start=1):
+        try:
+            t = AppliedTransform.from_json(entry)
+        except ValueError as exc:
+            raise ModelFormatError(f"bad transform {i}: {exc}") from None
+        model = apply(model, t.regime, t.spec)
+    return model

@@ -4,15 +4,16 @@ Each transform edits the conditional distributions whose keys match its
 trigger pattern and leaves every other key untouched (bit-identical).
 Transforms are lazy: applying one returns a model whose dist() pipes
 lookups through the transform stack, so generic fallbacks are covered
-without materializing the quadratic key space. A lambda of zero, or a
-regime of all ones, is the identity for every kind.
+without materializing the quadratic key space. A saved model keeps its
+stack next to its untransformed tables, so a reload applies it alike. A
+lambda of zero, or a regime of all ones, is the identity for every kind.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,6 +59,10 @@ class TransformSpec:
     lam: float
 
     def __post_init__(self):
+        if not isinstance(self.kind, TransformKind):
+            raise ValueError(f"field 'kind' must be a TransformKind, got {self.kind!r}")
+        if not isinstance(self.lam, (int, float)) or isinstance(self.lam, bool):
+            raise ValueError(f"field 'lam' must be an int or a float, got {self.lam!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
 
@@ -108,8 +113,6 @@ class AppliedTransform:
 
     def apply(self, model: LanguageModel, key: CondKey, dist: CategoricalDist) -> CategoricalDist:
         kind, lam = self.spec.kind, self.spec.lam
-        if lam == 0.0:
-            return dist
         if kind is TransformKind.SYNCOPE:
             if key.stress is not StressClass.UNSTRESSED:
                 return dist
@@ -156,7 +159,8 @@ class AppliedTransform:
             if slot is None or slot >= len(key.context) or key.context[slot] != _ASSIM_TRIGGER:
                 return dist
             return _move_mass(dist, _ASSIM_SRC, _ASSIM_DST, lam)
-        # straightening
+        if kind is not TransformKind.STRAIGHTENING:
+            raise ValueError(f"unknown transform kind {kind!r}")
         beta = 1.0 + lam * (self.regime.rate - 1.0)
         if beta == 1.0:
             return dist
@@ -182,9 +186,35 @@ class AppliedTransform:
         # every target's mass changes; the rebuild picks the new floor
         return dist.rebuilt(dict(zip(support, map(operator.truediv, probs, repeat(total)))), 0.0)
 
+    def to_json(self) -> dict:
+        """The transform as saved in a model file: its kind, then each number as a ``repr`` string."""
+        numbers = (self.spec.lam, *astuple(self.regime))
+        return {"kind": self.spec.kind.value,
+                **{name: repr(float(value)) for name, value in zip(_NUMBERS, numbers)}}
+
+    @classmethod
+    def from_json(cls, obj) -> "AppliedTransform":
+        """Inverse of ``to_json``; ValueError for a bad entry."""
+        if type(obj) is not dict or obj.keys() != {"kind", *_NUMBERS}:
+            raise ValueError(f"expected the fields kind, {', '.join(_NUMBERS)}, got {obj!r}")
+        if not all(type(obj[name]) is str for name in _NUMBERS):
+            raise ValueError(f"numbers must be decimal strings, got {obj!r}")
+        lam, *regime = (float(obj[name]) for name in _NUMBERS)
+        return cls(TransformSpec(TransformKind(obj["kind"]), lam), Regime(*regime))
+
+
+# a saved transform's numbers: its lambda, then the regime's fields
+_NUMBERS = ("lambda", *(f.name for f in fields(Regime)))
+
 
 def apply(model: LanguageModel, regime: Regime, spec: TransformSpec) -> LanguageModel:
-    """New model whose distributions pass through one more transform."""
+    """New model whose distributions pass through one more transform.
+
+    A lambda of zero is the identity, so the model itself is returned and
+    its stack (and its saved document) stays as it was.
+    """
+    if spec.lam == 0:
+        return model
     return replace(model, transforms=model.transforms + (AppliedTransform(spec, regime),))
 
 

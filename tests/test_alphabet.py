@@ -278,6 +278,22 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Phone(mk("vowel:front:close:glottal"), prosody)
 
+    @pytest.mark.parametrize("slot,value", [(0, "vowel"), (1, "front"), (2, None), (3, "glottal"),
+                                            (3, Manner.VOWEL)])
+    def test_marker_requires_members(self, mk, slot, value):
+        fields = list(mk("vowel:front:close:glottal"))
+        fields[slot] = value
+        name, enum = Marker._fields[slot], (Manner, FrontBack, OpenClose, Place)[slot]
+        message = f"field {name!r} must be a {enum.__name__}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Marker(*fields)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Marker(**dict(zip(Marker._fields, fields)))
+
+    def test_marker_of_members(self, mk):
+        m = Marker(Manner.VOWEL, FrontBack.FRONT, OpenClose.CLOSE, Place.GLOTTAL)
+        assert m == mk("vowel:front:close:glottal") and repr(m) == "Marker(vowel:front:close:glottal)"
+
     def test_phone_keeps_finite_t0(self, mk):
         vowel = mk("vowel:front:close:glottal")
         assert Phone(vowel, t0=2).t0 == 2 and Phone(vowel, t0=-0.5).t0 == -0.5

@@ -601,7 +601,7 @@ class TestFormatV2:
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(text.replace(f'"floor":"{floor!r}"', '"floor":"x"', 1), mini_alphabet)
         with pytest.raises(ModelFormatError, match="unknown model format"):
-            load_model(text.replace("phonospace-model-2", "phonospace-model-3"), mini_alphabet)
+            load_model(text.replace("phonospace-model-2", "phonospace-model-0"), mini_alphabet)
 
 
 class TestAdmissibilityRows:

@@ -62,6 +62,24 @@ class TestIdentity:
         with pytest.raises(ValueError):
             Regime(rate=0.0)
 
+    @pytest.mark.parametrize("kind", ["syncope", None, 0])
+    def test_kind_must_be_a_transform_kind(self, kind):
+        with pytest.raises(ValueError, match="field 'kind' must be a TransformKind"):
+            TransformSpec(kind, 0.5)
+
+    @pytest.mark.parametrize("lam", [True, False, "0.5", None])
+    def test_lambda_must_be_a_number(self, lam):
+        with pytest.raises(ValueError, match="field 'lam' must be an int or a float"):
+            TransformSpec(TransformKind.SYNCOPE, lam)
+
+    def test_unknown_kind_never_straightens(self, trained):
+        from phonospace.variation import AppliedTransform
+        spec = TransformSpec(TransformKind.STRAIGHTENING, 0.5)
+        object.__setattr__(spec, "kind", "syncope")  # past the constructor's check
+        key = next(k for k in trained.tables if any(c is not None for c in k.context))
+        with pytest.raises(ValueError, match="unknown transform kind 'syncope'"):
+            AppliedTransform(spec, Regime(rate=2.0)).apply(trained, key, trained.dist(key))
+
 
 class TestSyncope:
     def test_null_mass_doubles_then_renormalizes(self, mini_alphabet):
