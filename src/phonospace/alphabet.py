@@ -111,8 +111,9 @@ def _checked_marker(cls, *fields, **named) -> Marker:
     """``Marker(...)``: each field must be a member of its dimension's enum.
 
     ``typing.NamedTuple`` allows no ``__new__`` in the class body, so the
-    check wraps the generated one. ``Marker._make`` builds the tuple without
-    it, which ``_marker_of_names`` relies on: it reads only ``_MEMBERS``.
+    check wraps the generated one, and ``Marker._make`` (which ``_replace``
+    calls) builds through it too. ``_marker_of_names`` builds without the
+    check: it reads only ``_MEMBERS``.
     """
     marker = _unchecked_marker(cls, *fields, **named)
     for name, enum, member in zip(Marker._fields, _MARKER_DIMENSIONS.values(), marker):
@@ -121,13 +122,14 @@ def _checked_marker(cls, *fields, **named) -> Marker:
     return marker
 
 
-_unchecked_marker = Marker.__new__
+_unchecked_marker, _unchecked_make = Marker.__new__, Marker._make
 Marker.__new__ = staticmethod(_checked_marker)
+Marker._make = classmethod(lambda cls, iterable: _checked_marker(cls, *iterable))
 
 
 def _marker_of_names(names: Sequence[str]) -> Marker:
     """The marker with the given attribute names in field order; KeyError for an unknown name."""
-    return Marker._make(map(dict.__getitem__, _MEMBERS, names))
+    return _unchecked_make(map(dict.__getitem__, _MEMBERS, names))
 
 
 def marker_to_record(marker: Marker) -> dict:

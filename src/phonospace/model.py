@@ -23,7 +23,7 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary, ref
@@ -352,7 +352,8 @@ def _row(ctx: Marker, per_dim: Sequence[Tuple[str, _RankClasses]]) -> frozenset:
 
 
 class _AdmissibilityIndex:
-    """Single-step admissibility of one alphabet's cells, and the generic law per row.
+    """Single-step admissibility of one alphabet's cells, the generic law per row,
+    and the tables through which model files write and read target records.
 
     Rows come from per-dimension rank classes of the step rule in
     ``sonority.STEP_RULE`` and are memoized per context marker; the row of
@@ -397,6 +398,23 @@ class _AdmissibilityIndex:
             return CategoricalDist(exceptions, support, epsilon / excluded if excluded else 0.0)
 
         self.away, self.toward, self.distances, self.generic = away, toward, distances, generic
+
+    # each codec table is built on its first use, so a verb that only loads builds no text
+
+    @cached_property
+    def records(self) -> Dict[Target, str]:
+        """Each support target's model-file record, as JSON text."""
+        return {t: _dumps(_record(t)) for t in self.support.targets}
+
+    @cached_property
+    def targets(self) -> Dict[tuple, Target]:
+        """Each support target, looked up by its record's items in canonical key order."""
+        return {tuple(_record(t).items()): t for t in self.support.targets}
+
+    @cached_property
+    def positions(self) -> Dict[Target, int]:
+        """Each support target's canonical position."""
+        return {t: i for i, t in enumerate(self.support.targets)}
 
 
 # weak keys: an index lives exactly as long as its alphabet
@@ -723,8 +741,8 @@ def sample_with_rng(
     weights: StressWeights = StressWeights(),
 ) -> PhoneString:
     """One string drawn with an existing generator (rejected-and-resampled)."""
-    if max_syllables < 1:
-        raise ModelError("max_syllables must be at least 1")
+    if type(max_syllables) is not int or max_syllables < 1:  # bool is an int subclass
+        raise ModelError(f"max_syllables must be an integer of at least 1, got {max_syllables!r}")
     for _ in range(_MAX_ATTEMPTS):
         k = int(rng.integers(1, max_syllables + 1))
         options = legal_stress_sequences(k)
@@ -782,85 +800,44 @@ def _target_from_json(obj, alphabet: Alphabet) -> Target:
     return marker
 
 
-def _target_decoder(alphabet: Alphabet) -> Callable[[object], Target]:
-    """``_target_from_json`` for one document, each distinct record decoded once.
-
-    A record is remembered by its items, and records with equal items
-    decode alike. Anything else (not a dict, or a dict holding a list or
-    a dict) is decoded each time it occurs; it is malformed, so the first
-    occurrence raises.
-    """
-    decoded: Dict[tuple, Target] = {}
-
-    def decode(obj) -> Target:
-        if type(obj) is not dict:
-            return _target_from_json(obj, alphabet)
-        items = tuple(obj.items())
-        try:
-            return decoded[items]
-        except KeyError:
-            pass
-        except TypeError:  # an unhashable value
-            return _target_from_json(obj, alphabet)
-        target = decoded[items] = _target_from_json(obj, alphabet)
-        return target
-
-    return decode
+def _record(t: Target) -> dict:
+    """A target's model-file record: a marker's attributes, or the null phone's flag."""
+    return {"null": True} if t is None else marker_to_record(t)
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)``, so its lookups can be mapped."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
+# each unit's and each stress class's value as JSON text
+_VALUES = {m: _dumps(m.value) for enum in (Unit, StressClass) for m in enum}
 
 
 def model_to_json(model: LanguageModel) -> str:
     """The model document as one line of canonical JSON.
 
-    The text is what ``json.dumps`` gives for the document object, joined
-    from fragments encoded once: each target's record once per call and
-    each distinct probability once per distribution.
+    The text is what ``json.dumps`` gives for the document object. Each
+    target record is read from the alphabet's table of record texts, so
+    every target must be an alphabet cell or the null phone, and each
+    probability is written as its ``repr``.
     """
     q = model.quantization
-    full = _index_for(model.alphabet).support.targets
-    position = {t: i for i, t in enumerate(full)}
-    records = _Memo(lambda t: _dumps({"null": True} if t is None else marker_to_record(t)))
-    pair_heads = _Memo(lambda t: f"[{records[t]},")
-    values = _Memo(lambda member: _dumps(member.value))  # units and stress classes
-
-    def pairs(targets: Sequence[Target], probs: Sequence[float]) -> str:
-        # a number's repr needs no JSON escaping
-        distinct = set(probs)
-        if 0.0 in distinct or set(map(type, distinct)) != {float}:
-            # 0.0 and -0.0 are one key but two reprs, as equal values of other types may be
-            tails = [f'"{p!r}"]' for p in probs]
-        else:
-            tails = map({p: f'"{p!r}"]' for p in distinct}.__getitem__, probs)
-        return ",".join(map(operator.add, map(pair_heads.__getitem__, targets), tails))
-
+    index = _index_for(model.alphabet)
+    records, full = index.records, index.support.targets
     tables = []
     for key in sorted(model.tables, key=CondKey.sort_key):
         d = model.tables[key]  # as stored: the transform stack is saved on its own
-        head = (f'{{"key":{{"unit":{values[key.unit]},"stress":{values[key.stress]},'
-                f'"context":[{",".join(map(records.__getitem__, key.context))}]}},"dist":[')
-        if d.support() == full:
-            exc = d.exceptions
-            listed = sorted(exc, key=position.__getitem__)  # canonical order
-            body = pairs(listed, list(map(exc.__getitem__, listed)))
-            tables.append(f'{head}{body}],"floor":"{d.floor!r}"}}')
-        else:
-            targets, probs = zip(*d.entries)
-            tables.append(f"{head}{pairs(targets, probs)}]}}")
+        context = ",".join(map(records.__getitem__, key.context))
+        if d.support() == full:  # the exceptions, in canonical order, and the floor
+            probs = d.exceptions
+            listed = sorted(probs, key=index.positions.__getitem__)
+            floor = f',"floor":"{d.floor!r}"'
+        else:  # the whole support
+            probs, listed, floor = dict(d.entries), d.support(), ""
+        # a number's repr needs no JSON escaping
+        pairs = ",".join([f'[{records[t]},"{probs[t]!r}"]' for t in listed])
+        tables.append(f'{{"key":{{"unit":{_VALUES[key.unit]},"stress":{_VALUES[key.stress]},'
+                      f'"context":[{context}]}},"dist":[{pairs}]{floor}}}')
     doc = {
         "format": STACK_FORMAT_VERSION if model.transforms else FORMAT_VERSION,
         "alphabet_version": model.alphabet_version,
@@ -921,11 +898,18 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
             f.name: float(qj[f.name]) if type(f.default) is float else qj[f.name]
             for f in fields(QuantizationConfig)})
         limits = ProsodicLimits.from_json(obj["limits"])
-        full = _index_for(alphabet).support
+        index = _index_for(alphabet)
+        full, targets = index.support, index.targets
         tables: Dict[CondKey, CategoricalDist] = {}
         units = {u.value: u for u in Unit}
         stresses = {c.value: c for c in StressClass}
-        decode = _target_decoder(alphabet)
+
+        def decode(obj) -> Target:
+            try:
+                return targets[tuple(obj.items())]
+            except (AttributeError, TypeError, KeyError):  # not a dict, unhashable, not canonical
+                return _target_from_json(obj, alphabet)
+
         for entry in obj["tables"]:
             kj = entry["key"]
             key = CondKey(

@@ -13,7 +13,7 @@ dependency plan.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -280,9 +280,12 @@ class StressWeights:
     w_count: float = 1.0
 
     def __post_init__(self):
-        weights = (self.w_d, self.w_l, self.w_t, self.w_count)
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise ValueError("stress weights must be finite and nonnegative")
+        for name, value in vars(self).items():  # the fields, in order
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"field {name!r} must be an int or a float, got {value!r}")
+            # the comparison also rejects NaN and integers too large for a float
+            if not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"field {name!r} must be finite and nonnegative, got {value!r}")
         if self.w_d == self.w_l == self.w_t == self.w_count == 0:
             raise ValueError("stress weights cannot all be zero")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,8 +50,12 @@ class Regime:
     pitch: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(f) and f > 0 for f in (self.rate, self.loud, self.pitch)):
-            raise ValueError("regime factors must be finite and strictly positive")
+        for name, value in vars(self).items():  # the fields, in order
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"field {name!r} must be an int or a float, got {value!r}")
+            # the comparison also rejects NaN and integers too large for a float
+            if not 0 < value <= sys.float_info.max:
+                raise ValueError(f"field {name!r} must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,17 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Marker(**dict(zip(Marker._fields, fields)))
 
+    def test_replace_checks_the_new_field(self, mk):
+        # _replace builds through _make, which used to skip the field check
+        vowel = mk("vowel:front:close:glottal")
+        message = "field 'manner' must be a Manner, got 'x'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vowel._replace(manner="x")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Marker._make(["x", *vowel[1:]])
+        assert vowel._replace(open_close=OpenClose.OPEN) == mk("vowel:front:open:glottal")
+        assert Marker._make(vowel) == vowel
+
     def test_marker_of_members(self, mk):
         m = Marker(Manner.VOWEL, FrontBack.FRONT, OpenClose.CLOSE, Place.GLOTTAL)
         assert m == mk("vowel:front:close:glottal") and repr(m) == "Marker(vowel:front:close:glottal)"

@@ -296,6 +296,11 @@ class TestSampling:
         with pytest.raises(ModelError):
             sample(generic_model(mini_alphabet), max_syllables=0)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_max_syllables_must_be_an_integer(self, mini_alphabet, bad):
+        with pytest.raises(ModelError, match="max_syllables"):
+            sample(generic_model(mini_alphabet), max_syllables=bad, seed=1)
+
 
 class TestLongClassSequences:
     """sha256 of 40 strings drawn with one Pcg64 stream at five or seven syllables.
@@ -662,6 +667,19 @@ class TestNonFinite:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 StressWeights(w_t=bad)
+
+    @pytest.mark.parametrize("field", ["w_d", "w_l", "w_t", "w_count"])
+    @pytest.mark.parametrize("bad,message", [
+        ("2", "must be an int or a float"), (True, "must be an int or a float"),
+        (10**400, "must be finite"), (-1, "must be finite")], ids=["str", "bool", "huge", "negative"])
+    def test_stress_weights_rejected_naming_the_field(self, field, bad, message):
+        from phonospace import StressWeights
+        with pytest.raises(ValueError, match=f"^field '{field}' {message}"):
+            StressWeights(**{field: bad})
+
+    def test_integer_stress_weights_accepted(self):
+        from phonospace import StressWeights
+        assert StressWeights(w_d=2, w_count=0) == StressWeights(w_d=2.0, w_count=0.0)
 
 
 class TestIntegerLimits:

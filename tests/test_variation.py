@@ -241,6 +241,17 @@ class TestNonFiniteRegime:
         with pytest.raises(ValueError, match="finite"):
             Regime(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["rate", "loud", "pitch"])
+    @pytest.mark.parametrize("bad,message", [
+        ("2", "must be an int or a float"), (True, "must be an int or a float"),
+        (10**400, "must be finite"), (-1, "must be finite")], ids=["str", "bool", "huge", "negative"])
+    def test_rejected_naming_the_field(self, field, bad, message):
+        with pytest.raises(ValueError, match=f"^field '{field}' {message}"):
+            Regime(**{field: bad})
+
+    def test_integer_factors_accepted(self):
+        assert Regime(rate=2, loud=3, pitch=1) == Regime(rate=2.0, loud=3.0, pitch=1.0)
+
 
 def test_ordinal_distance_routes_incomparables_through_the_top(mk):
     # front/back meet at central (2 + 2); velar/PAL meet at uvular (1 + 1)
