@@ -20,16 +20,18 @@ from __future__ import annotations
 import json
 import math
 import operator
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary, ref
 
 from .alphabet import (
     DEFAULT_QUANTIZATION,
+    MAX_ABS_UNITS,
     Alphabet,
     Manner,
     Marker,
@@ -192,11 +194,12 @@ class CategoricalDist:
         return 0.5 * sum(abs(self.prob(t) - other.prob(t)) for t in keys)
 
     def sample(self, rng: Rng) -> Target:
-        if self._cum is None:
-            exc, floor = self.exceptions, self.floor
-            self._cum = list(accumulate(exc.get(t, floor) for t in self._support.targets))
         targets = self._support.targets
-        i = bisect_right(self._cum, float(rng.random()))
+        cum = self._cum
+        if cum is None:  # the left-to-right sums of the dense entries, as packed doubles
+            cum = self._cum = array("d", accumulate(
+                map(self.exceptions.get, targets, repeat(self.floor))))
+        i = bisect_right(cum, float(rng.random()))
         return targets[min(i, len(targets) - 1)]
 
     def __eq__(self, other):
@@ -238,6 +241,10 @@ class ProsodicLimits:
                     # log_mass counts hi - lo + 1 values, which only integer bounds make a count
                     if type(bound) is not int:  # bool is an int subclass
                         raise ValueError(f"{name} interval has a non-integer bound {bound!r}")
+                    # so every value the law allows is one a ProsodicVector holds
+                    if abs(bound) > MAX_ABS_UNITS:
+                        raise ValueError(f"{name} interval bound {bound} outside "
+                                         f"[-{MAX_ABS_UNITS}, {MAX_ABS_UNITS}]")
                 if lo > hi:
                     raise ValueError(f"{name} interval has lo > hi")
                 allowed[name] = range(lo, hi + 1)
@@ -265,10 +272,13 @@ class ProsodicLimits:
 
         The rng is read in ``ProsodicVector`` field order: R, N, V, T, D, L.
         ``rng.integers(n)`` reads what ``rng.integers(lo, lo + n)`` would, since
-        both depend only on the span.
+        both depend only on the span. Every allowed value is an int that a
+        vector may hold, so the fields are set without its ``__post_init__``.
         """
-        return ProsodicVector(**{name: values[rng.integers(len(values))]
-                                 for name, values in self._allowed.items()})
+        pv = object.__new__(ProsodicVector)
+        vars(pv).update([(name, values[rng.integers(len(values))])
+                         for name, values in self._allowed.items()])
+        return pv
 
     @classmethod
     def observed(cls, prosodies: Iterable[ProsodicVector]) -> "ProsodicLimits":
@@ -464,6 +474,15 @@ class LanguageModel:
             raise ModelError(f"joining mass must satisfy 0 <= epsilon < 1, got {self.epsilon}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ModelError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        if self.tables:  # every context marker and target is an alphabet cell or the null phone
+            support = _index_for(self.alphabet).support
+            for key, d in self.tables.items():
+                # a dist over the index's own support names nothing else
+                named = key.context if d._support is support else key.context + d.support()
+                if not support.members.issuperset(named):
+                    bad = next(t for t in named if t not in support.members)
+                    raise ModelError(f"table {key!r} names {bad!r}, "
+                                     f"not a cell of alphabet {self.alphabet.version!r}")
         # per instance, so a copy made by dataclasses.replace starts empty;
         # perfbench/run.py's DIST_CACHE_SIZE restates the bound. The memo reaches
         # its model through a weak reference, so the two form no reference cycle

@@ -104,8 +104,11 @@ class Pcg64:
         return x & _M32
 
     def random(self) -> float:
-        """A double in [0, 1)."""
-        return (self.next64() >> 11) * (1.0 / 9007199254740992.0)
+        """A double in [0, 1): ``next64() >> 11`` scaled, with the step inline."""
+        state = self._state = (self._state * _MULTIPLIER + self._inc) & _M128
+        x = ((state >> 64) ^ state) & _M64
+        rot = state >> 122
+        return ((((x >> rot) | (x << (64 - rot))) & _M64) >> 11) * (1.0 / 9007199254740992.0)
 
     def integers(self, low: int, high: Optional[int] = None) -> int:
         """An integer in [low, high), or in [0, low) when high is omitted."""
@@ -118,16 +121,36 @@ class Pcg64:
             raise ValueError("bounds out of range for int64")
         if span == 0:
             return low
+        if span < _M32:
+            # Lemire over 32-bit draws: the high word of draw * n, rejecting the low words
+            # below 2**32 % n. The first draw is next32() inline, so an accepted one runs
+            # in this frame.
+            n = span + 1
+            half = self._half
+            if half is None:
+                state = self._state = (self._state * _MULTIPLIER + self._inc) & _M128
+                x = ((state >> 64) ^ state) & _M64
+                rot = state >> 122
+                x = ((x >> rot) | (x << (64 - rot))) & _M64
+                self._half = x >> 32
+                m = (x & _M32) * n
+            else:
+                self._half = None
+                m = half * n
+            if m & _M32 < n:
+                threshold = (_M32 - span) % n
+                while m & _M32 < threshold:
+                    m = self.next32() * n
+            return low + (m >> 32)
         if span == _M32:
             return low + self.next32()
         if span == _M64:
             return low + self.next64()
-        # Lemire: the high word of draw * n, rejecting the low words below 2**bits % n
-        draw, bits, mask = (self.next32, 32, _M32) if span < _M32 else (self.next64, 64, _M64)
+        # Lemire over 64-bit draws
         n = span + 1
-        m = draw() * n
-        if m & mask < n:
-            threshold = (mask - span) % n
-            while m & mask < threshold:
-                m = draw() * n
-        return low + (m >> bits)
+        m = self.next64() * n
+        if m & _M64 < n:
+            threshold = (_M64 - span) % n
+            while m & _M64 < threshold:
+                m = self.next64() * n
+        return low + (m >> 64)

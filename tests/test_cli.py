@@ -215,6 +215,8 @@ class TestSampleBytes:
     # (model format 1), which the floor-plus-exceptions form must reproduce
     GENERIC = "7069591d2fa7ec002a342d5803e852e6e32ec7bc1f4746e65888c195ad3abece"
     TRAINED = "49020204d00d909b4f8a658aa657ec1c9fb7d5bbe1b1cca6939aef4054606fcc"
+    # a model trained on the GENERIC corpus: its observed limits give spans other than 129
+    TRAINED_ON_SAMPLE = "11cc1373e027bbbc6d68391c220a8fd0fca9a172d20ce5605e60c8a7169f71a6"
 
     @staticmethod
     def digest(argv):
@@ -236,6 +238,16 @@ class TestSampleBytes:
         assert code == 0
         argv = ["sample", "-n", "50", "--seed", "7", "--model", model_path]
         assert self.digest(argv) == self.TRAINED
+
+    def test_model_trained_on_sample(self, tmp_path):
+        # the steps of the no-numpy CI job
+        corpus, model_path = tmp_path / "corpus.jsonl", str(tmp_path / "model.json")
+        code, out, err = run(["sample", "-n", "50", "--seed", "7"])
+        assert code == 0, err
+        corpus.write_text(out, encoding="utf-8")
+        assert run(["train", str(corpus), "--out", model_path])[0] == 0
+        argv = ["sample", "-n", "50", "--seed", "7", "--max-syllables", "5", "--model", model_path]
+        assert self.digest(argv) == self.TRAINED_ON_SAMPLE
 
 
 class TestNonFiniteArguments:
@@ -290,6 +302,22 @@ class TestFractionalLimits:
         model_path.write_text(json.dumps(doc))
         code, out, err = run(["--alphabet", mini_path, "score", corpus, "--model", str(model_path)])
         assert code == 3 and out == "" and "non-integer" in err
+
+
+class TestLimitsBeyondTheVectorRange:
+    # "R":[-100,100] used to score with log(1/201) per phone, and to fail only when sampled
+    @pytest.mark.parametrize("verb", ["score", "sample", "info"])
+    def test_exits_three(self, tmp_path, mini_alphabet, rng, mini_path, verb):
+        from phonospace import generic_model, save_model
+        corpus = make_corpus(tmp_path, mini_alphabet, rng, n=3)
+        model_path = tmp_path / "g.json"
+        save_model(generic_model(mini_alphabet), str(model_path))
+        doc = json.loads(model_path.read_text())
+        doc["limits"]["R"] = [-100, 100]
+        model_path.write_text(json.dumps(doc))
+        args = [corpus] if verb == "score" else []
+        code, out, err = run(["--alphabet", mini_path, verb, *args, "--model", str(model_path)])
+        assert code == 3 and out == "" and "outside [-64, 64]" in err
 
 
 class TestSampleCounts:

@@ -1,8 +1,10 @@
+import bisect
 import dataclasses
 import gc
 import io
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -34,7 +36,8 @@ from phonospace import (
     score,
     train,
 )
-from phonospace.model import AlphabetMismatchError, ModelError, ModelFormatError, LanguageModel
+from phonospace.model import (
+    AlphabetMismatchError, ModelError, ModelFormatError, LanguageModel, model_to_json)
 from phonospace.prng import Pcg64
 from conftest import random_prosody, random_valid_string
 from oracle import oracle_score
@@ -1073,3 +1076,137 @@ class TestLimitsPolicy:
         expected = {"observed": ProsodicLimits.observed(p.prosody for s in collapsed for p in s.phones),
                     "full": ProsodicLimits.full()}.get(policy, policy)
         assert model.limits == expected
+
+
+class TestLimitsWithinTheVectorRange:
+    """Every value the limits allow is one a ProsodicVector may hold."""
+
+    @pytest.mark.parametrize("name", ["R", "T", "D", "L"])
+    @pytest.mark.parametrize("interval", [(-100, 100), (-65, 0), (0, 65), (-70, -65), (65, 70)])
+    def test_bound_outside_rejected(self, name, interval):
+        with pytest.raises(ValueError, match=rf"^{name} interval bound -?\d+ outside \[-64, 64\]$"):
+            ProsodicLimits(**{name: interval})
+
+    def test_full_beyond_the_range_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            ProsodicLimits.full(65)
+        assert ProsodicLimits.full(64) == ProsodicLimits()
+
+    def test_load_reports_a_format_error(self, mini_alphabet):
+        # "R":[-100,100] used to load, score log(1/201) per phone and fail when sampled
+        import json
+        buf = io.StringIO()
+        save_model(generic_model(mini_alphabet), buf)
+        doc = json.loads(buf.getvalue())
+        doc["limits"]["R"] = [-100, 100]
+        with pytest.raises(ModelFormatError, match="outside"):
+            load_model(json.dumps(doc), mini_alphabet)
+
+    @pytest.mark.parametrize("limits", _LIMITS + [
+        ProsodicLimits(R=(-64, -64), T=(64, 64), D=(-64, 64), L=(-1, 0), V=frozenset({1}))])
+    @pytest.mark.parametrize("make_rng", [Pcg64, np.random.default_rng], ids=["pcg64", "numpy"])
+    def test_drawn_vectors_are_vectors(self, limits, make_rng):
+        rng = make_rng(13)
+        names = [f.name for f in dataclasses.fields(ProsodicVector)]
+        for _ in range(300):
+            pv = limits.draw(rng)
+            checked = ProsodicVector(**vars(pv))  # runs the field checks
+            assert list(vars(pv)) == names and all(type(v) is int for v in vars(pv).values())
+            assert pv == checked and hash(pv) == hash(checked) and limits.contains(pv)
+
+
+class TestTableCells:
+    """A model's tables name only cells of its alphabet and the null phone."""
+
+    @staticmethod
+    def stranger(mini_alphabet, alphabet):
+        return next(m for m in alphabet if m not in mini_alphabet)
+
+    def test_target_outside_the_alphabet_rejected(self, mini_alphabet, alphabet):
+        stranger = self.stranger(mini_alphabet, alphabet)
+        d = CategoricalDist([(None, 0.5), (stranger, 0.5)])
+        key = CondKey(Unit.ONSET, S, (None,))
+        with pytest.raises(ModelError, match=re.escape(f"names {stranger!r}, not a cell")):
+            LanguageModel(mini_alphabet, {key: d}, 0.05, 0.0, ProsodicLimits())
+
+    def test_context_outside_the_alphabet_rejected(self, mini_alphabet, alphabet):
+        stranger = self.stranger(mini_alphabet, alphabet)
+        mm = mini_markers(mini_alphabet)
+        m = train([[ph(mm["Q"]), ph(mm["i"]), ph(mm["Q"])]], alphabet=mini_alphabet)
+        key, d = next(iter(m.tables.items()))
+        bad = {key._replace(context=(stranger,) * len(key.context)): d}
+        with pytest.raises(ModelError, match=re.escape(f"names {stranger!r}, not a cell")):
+            LanguageModel(mini_alphabet, bad, 0.05, 0.0, ProsodicLimits())
+        with pytest.raises(ModelError, match="not a cell"):
+            dataclasses.replace(m, tables={**m.tables, **bad})
+
+    def test_cells_and_partial_supports_accepted(self, mini_alphabet):
+        mm = mini_markers(mini_alphabet)
+        key = CondKey(Unit.ONSET, S, (mm["i"],))
+        m = LanguageModel(mini_alphabet, {key: CategoricalDist([(None, 0.5), (mm["Q"], 0.5)])},
+                          0.05, 0.0, ProsodicLimits())
+        assert load_model(model_to_json(m), mini_alphabet).tables == m.tables
+
+
+def _seeded_dists(alphabet, seed, n=12):
+    """Floor-plus-exceptions dists over the full support, some with a zero floor."""
+    base = generic_model(alphabet).dist(CondKey(Unit.ONSET, S, (None,)))
+    targets = base.support()
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(1, 40))
+        picked = rng.choice(len(targets), size=k, replace=False)
+        weights = rng.random(k) * float(rng.choice([1e-3, 1.0, 50.0]))
+        floor = float(rng.random()) * float(rng.choice([0.0, 1e-6, 1.0]))
+        total = float(weights.sum()) + floor * (len(targets) - k)
+        yield base.rebuilt({targets[i]: float(w) / total for i, w in zip(picked, weights)},
+                           floor / total)
+
+
+class _Scripted:
+    """An rng whose ``random()`` returns the given values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+class TestSamplingTables:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boundaries_pick_what_a_list_table_picked(self, alphabet, seed):
+        m = generic_model(alphabet, epsilon=0.05)
+        dists = list(_seeded_dists(alphabet, seed)) + [m.dist(k) for k in list(_some_keys(alphabet))[:8]]
+        for d in dists:
+            targets = d.support()
+            # the table as a list of Python floats, summed left to right over the dense entries
+            ref = list(itertools.accumulate(d.exceptions.get(t, d.floor) for t in targets))
+            probes = [0.0]
+            for c in ref:  # each boundary exactly, and the doubles on either side of it
+                probes += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+            rng = _Scripted(probes)
+            assert [d.sample(rng) for _ in probes] == \
+                [targets[min(bisect.bisect_right(ref, u), len(targets) - 1)] for u in probes]
+
+
+class TestSamplingMemory:
+    def test_generic_samples_leave_little_live(self):
+        # a fresh alphabet, so its index, rows, dists and sampling tables are built while traced;
+        # 200 strings left 10.3 MB live with one list of boxed floats per table
+        from importlib import resources
+        from phonospace import load_alphabet
+        table = resources.files("phonospace.data").joinpath("alphabet.tsv").read_text("utf-8")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = generic_model(load_alphabet(table), epsilon=0.05)
+            rng = Pcg64(3000)
+            strings = [sample_with_rng(model, 3, rng) for _ in range(200)]
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(strings) == 200
+        assert live < 8_000_000, live

@@ -30,6 +30,30 @@ def test_interleaved_draws_match_numpy(seed):
             assert ours.integers(size) == int(theirs.integers(size)), i
 
 
+# spans whose Lemire threshold rejects about a quarter of the draws: 32-bit and 64-bit paths
+REJECTING = [3 * 2**30, 3 * 2**62]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rejected_draws_keep_the_banked_half(seed):
+    # a rejected 32-bit draw may take the banked upper half or bank a new one;
+    # doubles and 64-bit draws in between leave the bank as it is
+    ours, theirs = Pcg64(seed), np.random.default_rng(seed)
+    plan = random.Random(seed)
+    for i in range(300):
+        kind = plan.randrange(3)
+        if kind == 0:
+            assert ours.random() == theirs.random(), i
+            continue
+        size = plan.choice(REJECTING + [129, 2**32 + 3])
+        if kind == 1 or size > 2**63:
+            # a span past 2**63 needs a negative low to stay within int64
+            low = plan.randrange(-100, 1) - (2**62 if size > 2**63 else 0)
+            assert ours.integers(low, low + size) == int(theirs.integers(low, low + size)), i
+        else:
+            assert ours.integers(size) == int(theirs.integers(size)), i
+
+
 def test_full_int64_range_matches_numpy():
     ours, theirs = Pcg64(5), np.random.default_rng(5)
     lo, hi = -(2**63), 2**63
