@@ -24,9 +24,9 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property, lru_cache
-from itertools import accumulate, repeat
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import cache, cached_property, lru_cache, reduce
+from itertools import accumulate, compress, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary, ref
 
 from .alphabet import (
@@ -324,7 +324,7 @@ def following_context_slot(key: CondKey) -> Optional[int]:
     return None if right else int(not left)
 
 
-_RankClasses = Dict[object, Tuple[frozenset, frozenset]]
+_RankClasses = Dict[object, Tuple[int, int]]
 
 
 def _rank_classes(cells: Sequence[Marker], dim: StepDimension) -> Tuple[_RankClasses, _RankClasses]:
@@ -333,46 +333,50 @@ def _rank_classes(cells: Sequence[Marker], dim: StepDimension) -> Tuple[_RankCla
     For a value v the away entry holds the cells t whose relation to v,
     cmp(t, v), does not rise, and the subset of those where it does not
     fall strictly either; the toward entry does the same for cmp(v, t).
+    Each is a bit mask over ``cells``, bit i standing for ``cells[i]``.
     """
-    groups: Dict[object, List[Marker]] = {v: [] for v in dim.values}
-    for c in cells:
-        groups[getattr(c, dim.attr)].append(c)
+    groups: Dict[object, int] = dict.fromkeys(dim.values, 0)
+    for i, c in enumerate(cells):
+        groups[getattr(c, dim.attr)] |= 1 << i
 
     flat = dim.allowed - {PartialOrdering.LESS}
 
-    def classes(rel_of) -> Tuple[frozenset, frozenset]:
+    def classes(rel_of) -> Tuple[int, int]:
         rels = {w: rel_of(w) for w in dim.values}
-        return (frozenset(c for w, r in rels.items() if r in dim.allowed for c in groups[w]),
-                frozenset(c for w, r in rels.items() if r in flat for c in groups[w]))
+        # the groups are disjoint, so their sum is their union
+        return (sum(groups[w] for w, r in rels.items() if r in dim.allowed),
+                sum(groups[w] for w, r in rels.items() if r in flat))
 
     away = {v: classes(lambda w: dim.cmp(w, v)) for v in dim.values}
     toward = {v: classes(lambda w: dim.cmp(v, w)) for v in dim.values}
     return away, toward
 
 
-def _row(ctx: Marker, per_dim: Sequence[Tuple[str, _RankClasses]]) -> frozenset:
-    """Cells that rise in no dimension, minus those that fall in none."""
-    attr, classes = per_dim[0]
-    no_rise, no_fall = classes[getattr(ctx, attr)]
-    for attr, classes in per_dim[1:]:
+def _row(ctx: Marker, per_dim: Sequence[Tuple[str, _RankClasses]]) -> int:
+    """Cells that rise in no dimension, minus those that fall in none, as a mask."""
+    no_rise = no_fall = -1  # every bit set
+    for attr, classes in per_dim:
         rise_free, fall_free = classes[getattr(ctx, attr)]
-        no_rise = no_rise & rise_free
-        no_fall = no_fall & fall_free
-    return no_rise - no_fall
+        no_rise &= rise_free
+        no_fall &= fall_free
+    return no_rise & ~no_fall
 
 
 class _AdmissibilityIndex:
     """Single-step admissibility of one alphabet's cells, the generic law per row,
     and the tables through which model files write and read target records.
 
-    Rows come from per-dimension rank classes of the step rule in
-    ``sonority.STEP_RULE`` and are memoized per context marker; the row of
-    a null context is ``all_cells``.
+    A row is an ``int`` bit mask over the canonical ``cells``, bit i standing
+    for ``cells[i]``. Rows come from per-dimension rank classes of the step
+    rule in ``sonority.STEP_RULE`` and are memoized per context marker; the
+    row of a null context is ``full``; a two-context key ANDs both rows.
+    The generic law is built once per (row, epsilon), from its smaller side.
+    ``away``, ``toward`` and ``admissible_targets`` build frozensets on demand.
     """
 
     def __init__(self, alphabet: Alphabet):
         cells = self.cells = tuple(alphabet)  # canonical order
-        self.all_cells = frozenset(cells)
+        full = self.full = (1 << len(cells)) - 1
         self.closures = tuple(m for m in cells if m.manner is Manner.CLOSURE)
         support = self.support = Support((None,) + cells)
         per_dim = [(dim.attr, _rank_classes(cells, dim)) for dim in STEP_RULE]
@@ -382,14 +386,18 @@ class _AdmissibilityIndex:
         dimension_rows = [(attr, {v: [to[getattr(c, attr)] for c in cells] for v, to in table.items()})
                           for attr, table in DISTANCES]
 
+        def members(row: int) -> Iterator[Marker]:
+            """The row's cells, in canonical order."""
+            return compress(cells, map("1".__eq__, bin(row)[:1:-1]))
+
         @cache
-        def away(ctx: Marker) -> frozenset:
-            """Cells t with ``is_diphthongal_step(ctx, t)``."""
+        def away_row(ctx: Marker) -> int:
+            """Cells t with ``is_diphthongal_step(ctx, t)``, as a mask."""
             return _row(ctx, away_classes)
 
         @cache
-        def toward(ctx: Marker) -> frozenset:
-            """Cells t with ``is_diphthongal_step(t, ctx)``."""
+        def toward_row(ctx: Marker) -> int:
+            """Cells t with ``is_diphthongal_step(t, ctx)``, as a mask."""
             return _row(ctx, toward_classes)
 
         @cache
@@ -399,15 +407,36 @@ class _AdmissibilityIndex:
             return tuple(map(sum, zip(*rows)))
 
         @cache
-        def generic(row: frozenset, epsilon: float) -> CategoricalDist:
+        def generic(row: int, epsilon: float) -> CategoricalDist:
             """Uniform over the row plus the null phone, the joining mass spread over the rest."""
-            excluded = len(cells) - len(row)
-            p_adm = (1.0 - epsilon if excluded else 1.0) / (len(row) + 1)
-            exceptions = dict.fromkeys(row, p_adm)
+            admitted = row.bit_count()
+            excluded = len(cells) - admitted
+            p_adm = (1.0 - epsilon if excluded else 1.0) / (admitted + 1)
+            p_exc = epsilon / excluded if excluded else 0.0
+            # the floor is the more common probability, ties to the smaller, as the constructor picks
+            if (admitted + 1, -p_adm) > (excluded, -p_exc):
+                return CategoricalDist(dict.fromkeys(members(full & ~row), p_exc), support, p_adm)
+            exceptions = dict.fromkeys(members(row), p_adm)
             exceptions[None] = p_adm
-            return CategoricalDist(exceptions, support, epsilon / excluded if excluded else 0.0)
+            return CategoricalDist(exceptions, support, p_exc)
 
-        self.away, self.toward, self.distances, self.generic = away, toward, distances, generic
+        self.members, self.away_row, self.toward_row = members, away_row, toward_row
+        self.distances, self.generic = distances, generic
+
+    def row(self, key: CondKey) -> int:
+        """The key's admissible cells: null context slots impose no constraint."""
+        contexts = [c for c in key.context if c is not None]
+        if contexts and (key.unit, key.stress) in _AWAY:
+            return self.away_row(contexts[0])
+        return reduce(operator.and_, map(self.toward_row, contexts), self.full)
+
+    def away(self, ctx: Marker) -> frozenset:
+        """Cells t with ``is_diphthongal_step(ctx, t)``."""
+        return frozenset(self.members(self.away_row(ctx)))
+
+    def toward(self, ctx: Marker) -> frozenset:
+        """Cells t with ``is_diphthongal_step(t, ctx)``."""
+        return frozenset(self.members(self.toward_row(ctx)))
 
     # each codec table is built on its first use, so a verb that only loads builds no text
 
@@ -442,19 +471,10 @@ def admissible_targets(alphabet: Alphabet, key: CondKey) -> frozenset:
     """Markers reachable from the key's context under the diphthongal step.
 
     Null context slots impose no constraint; the null phone is always
-    admissible on top of the returned markers.
+    admissible on top of the returned markers. The set is built on each call.
     """
     index = _index_for(alphabet)
-    ctx = [c for c in key.context if c is not None]
-    if not ctx:
-        return index.all_cells
-    if (key.unit, key.stress) in _AWAY:
-        return index.away(ctx[0])
-    sets = [index.toward(c) for c in ctx]
-    out = sets[0]
-    for s in sets[1:]:
-        out = out & s
-    return out
+    return frozenset(index.members(index.row(key)))
 
 
 @dataclass(eq=False)
@@ -496,7 +516,8 @@ class LanguageModel:
 
     def generic_dist(self, key: CondKey) -> CategoricalDist:
         """The language-neutral distribution for one key, shared by every key with its row."""
-        return _index_for(self.alphabet).generic(admissible_targets(self.alphabet, key), self.epsilon)
+        index = _index_for(self.alphabet)
+        return index.generic(index.row(key), self.epsilon)
 
     def dist(self, key: CondKey) -> CategoricalDist:
         """Stored table entry or generic fallback, through the transform stack."""

@@ -250,6 +250,28 @@ class TestSampleBytes:
         assert self.digest(argv) == self.TRAINED_ON_SAMPLE
 
 
+class TestScoreBytes:
+    # score's stdout for the TestSampleBytes.GENERIC corpus under a saved generic
+    # model of the default alphabet; the CI no-numpy job checks both digests.
+    # At epsilon 0 a string that takes a joining target scores -inf.
+    SCORED = "c016f77e9723606fa2457866f61f2294f12548163b17c0d52f0bf663b3541c74"
+    SCORED_AT_EPSILON_0 = "1992b4d7b1e2023b1d296a75677f46e87ad17eba1ee28896281ca8efcd5e867f"
+
+    @pytest.mark.parametrize("epsilon,expected", [(0.05, SCORED), (0.0, SCORED_AT_EPSILON_0)])
+    def test_generic_model(self, tmp_path, alphabet, epsilon, expected):
+        import hashlib
+        from phonospace import generic_model, save_model
+        corpus, model_path = tmp_path / "corpus.jsonl", str(tmp_path / "generic.json")
+        code, out, err = run(["sample", "-n", "50", "--seed", "7"])
+        assert code == 0, err
+        corpus.write_text(out, encoding="utf-8")
+        save_model(generic_model(alphabet, epsilon=epsilon), model_path)
+        code, out, err = run(["score", str(corpus), "--model", model_path])
+        assert code == 0, err
+        assert ("-inf" in out) == (epsilon == 0.0)
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 class TestNonFiniteArguments:
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_train_alpha(self, tmp_path, mini_alphabet, rng, mini_path, bad):

@@ -624,6 +624,43 @@ class TestAdmissibilityRows:
             assert index.toward(ctx) == {t for t in index.cells if is_diphthongal_step(t, ctx)}
 
 
+class TestGenericFromThePredicate:
+    """The generic law of each kind of key, its row read from ``is_diphthongal_step`` alone."""
+
+    @staticmethod
+    def dense(cells, key, eps, away):
+        contexts = [c for c in key.context if c is not None]
+        if away:  # the target sits one step farther from the nucleus than the context
+            row = {t for t in cells if all(is_diphthongal_step(c, t) for c in contexts)}
+        else:
+            row = {t for t in cells if all(is_diphthongal_step(t, c) for c in contexts)}
+        excluded = len(cells) - len(row)
+        p_adm = (1.0 - eps if excluded else 1.0) / (len(row) + 1)
+        p_exc = eps / excluded if excluded else 0.0
+        return ((None, p_adm), *((t, p_adm if t in row else p_exc) for t in cells)), len(row)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("which", ["alphabet", "mini_alphabet"])
+    def test_entries_and_floor(self, which, eps, request):
+        alphabet = request.getfixturevalue(which)
+        cells = sorted(alphabet, key=lambda m: m.sort_key())  # canonical order, after the null phone
+        # a stressed syllable's sides grow away from its nucleus, an unstressed one's toward it
+        keys = [(CondKey(Unit.ONSET, S, (None,)), True)]
+        keys += [(CondKey(Unit.RHYME, S, (c,)), True) for c in cells]
+        keys += [(CondKey(Unit.ONSET, U, (c,)), False) for c in cells]
+        keys += [(CondKey(Unit.NUCLEUS, U, (a, b)), False)
+                 for a in cells[::23] + [None] for b in cells[4::29] + [None]]
+        m = generic_model(alphabet, epsilon=eps)
+        over_half = 0
+        for key, away in keys:
+            dense, admitted = self.dense(cells, key, eps, away)
+            d = m.generic_dist(key)
+            assert d.entries == dense, key
+            assert d.floor == _canonical_floor(dense), key
+            over_half += key.context != (None,) and 2 * admitted > len(cells)
+        assert over_half  # a context whose row holds more than half the cells
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_dist_with_non_finite_mass_rejected(self, mini_alphabet, bad):
@@ -1210,3 +1247,23 @@ class TestSamplingMemory:
             tracemalloc.stop()
         assert len(strings) == 200
         assert live < 8_000_000, live
+
+    def test_generic_rows_leave_less_live(self):
+        # the same scenario; with one frozenset per admissibility row and per
+        # two-context intersection, 200 strings left 6.90 MB live
+        from importlib import resources
+        from phonospace import load_alphabet
+        table = resources.files("phonospace.data").joinpath("alphabet.tsv").read_text("utf-8")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = generic_model(load_alphabet(table), epsilon=0.05)
+            rng = Pcg64(3000)
+            strings = [sample_with_rng(model, 3, rng) for _ in range(200)]
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(strings) == 200
+        assert live < 5_000_000, live
