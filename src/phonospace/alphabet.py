@@ -355,9 +355,12 @@ class QuantizationConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if type(f.default) is float:  # references
-                if not (math.isfinite(value) and value > 0):
+            if type(f.default) is float:  # references, stored as floats
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be an int or a float, got {value!r}")
+                if not 0 < value <= sys.float_info.max:  # also rejects NaN and integers too large
                     raise ValueError(f"{f.name} must be finite and strictly positive, got {value!r}")
+                object.__setattr__(self, f.name, float(value))
             elif type(value) is not int or value < 1:  # unit counts; bool is an int subclass
                 raise ValueError(f"{f.name} must be an integer of at least 1, got {value!r}")
         # a prosodic vector holds at most MAX_ABS_UNITS per dimension

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -477,6 +478,18 @@ def admissible_targets(alphabet: Alphabet, key: CondKey) -> frozenset:
     return frozenset(index.members(index.row(key)))
 
 
+def _smoothing(epsilon, alpha) -> Tuple[float, float]:
+    """``epsilon`` and ``alpha`` as floats; ModelError unless each is an int or a float in range."""
+    for name, value in (("epsilon", epsilon), ("alpha", alpha)):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ModelError(f"field {name!r} must be an int or a float, got {value!r}")
+    if not 0.0 <= epsilon < 1.0:
+        raise ModelError(f"joining mass must satisfy 0 <= epsilon < 1, got {epsilon}")
+    if not 0 <= alpha <= sys.float_info.max:  # also rejects NaN and integers too large for a float
+        raise ModelError(f"alpha must be finite and nonnegative, got {alpha}")
+    return float(epsilon), float(alpha)
+
+
 @dataclass(eq=False)
 class LanguageModel:
     alphabet: Alphabet
@@ -489,11 +502,9 @@ class LanguageModel:
     _memo: Callable[[CondKey], CategoricalDist] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # epsilon keys the shared generic dists, so it is checked before any lookup
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ModelError(f"joining mass must satisfy 0 <= epsilon < 1, got {self.epsilon}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ModelError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        # epsilon keys the shared generic dists, so it is checked before any lookup; both
+        # are stored as floats, so a saved model reloads and re-saves byte for byte
+        self.epsilon, self.alpha = _smoothing(self.epsilon, self.alpha)
         if self.tables:  # every context marker and target is an alphabet cell or the null phone
             support = _index_for(self.alphabet).support
             for key, d in self.tables.items():
@@ -601,8 +612,7 @@ def train(
     alphabet cells plus null. Prosodic limits default to the observed
     min/max per dimension; pass a ProsodicLimits or "full" to override.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ModelError(f"alpha must be finite and nonnegative, got {alpha}")
+    epsilon, alpha = _smoothing(epsilon, alpha)  # before the corpus is read
     if limits == "full":
         limits = ProsodicLimits.full(quantization.max_abs_units)
     elif limits != "observed" and not isinstance(limits, ProsodicLimits):

@@ -16,7 +16,7 @@ import operator
 import sys
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .alphabet import FrontBack, IdentityEnum, Manner, Marker, OpenClose, Place
 from .model import (
@@ -88,14 +88,17 @@ def ordinal_distance(a: Marker, b: Marker) -> int:
     return sum(table[getattr(a, attr)][getattr(b, attr)] for attr, table in DISTANCES)
 
 
-def _renormalized(dist: CategoricalDist, exceptions: Dict[Target, float],
-                  floor: float) -> CategoricalDist:
-    """``dist``'s support with new masses, clipped and scaled to sum to one."""
-    support = dist.support()
-    cap = 1.0 - (len(support) - 1) * 1e-12  # keep all entries positive after scaling
-    floor = min(floor, cap)
+def _scaled(dist: CategoricalDist, targets: Sequence[Target], factor: float) -> CategoricalDist:
+    """``dist`` with the masses of ``targets``, of its support, times ``factor``.
+
+    Each mass is clipped at 1 - (n - 1) * 1e-12, then divided by the sum in canonical target order.
+    """
+    support, exceptions = dist.support(), dist.exceptions
+    cap = 1.0 - (len(support) - 1) * 1e-12  # so every entry stays positive
     clipped = {t: min(p, cap) for t, p in exceptions.items()}
-    total = sum(clipped.get(t, floor) for t in support)  # summed in entry order
+    clipped.update({t: min(exceptions.get(t, dist.floor) * factor, cap) for t in targets})
+    floor = min(dist.floor, cap)
+    total = sum(map(clipped.get, support, repeat(floor)))  # in entry order
     return dist.rebuilt({t: p / total for t, p in clipped.items()}, floor / total)
 
 
@@ -103,15 +106,16 @@ def _move_mass(dist: CategoricalDist, src: Marker, dst: Marker, frac: float) -> 
     delta = dist.prob(src) * frac
     if delta <= 0.0 or dst not in dist.support():
         return dist
-    exceptions = dict(dist.exceptions)
-    exceptions[src] = dist.prob(src) - delta
-    exceptions[dst] = dist.prob(dst) + delta
-    return dist.rebuilt(exceptions, dist.floor)
+    return dist.rebuilt({**dist.exceptions, src: dist.prob(src) - delta, dst: dist.prob(dst) + delta}, dist.floor)
 
 
 @dataclass(frozen=True)
 class AppliedTransform:
-    """One transform bound to its regime; applied per-key by model.dist()."""
+    """One transform bound to its regime; applied per-key by model.dist().
+
+    Syncope and epenthesis scale their targets through ``_scaled``; lenition and assimilation
+    move mass between two targets; straightening reweights every target by ordinal distance.
+    """
 
     spec: TransformSpec
     regime: Regime
@@ -122,11 +126,7 @@ class AppliedTransform:
             if key.stress is not StressClass.UNSTRESSED:
                 return dist
             factor = 1.0 + lam * (self.regime.rate - 1.0)
-            if factor == 1.0 or dist.prob(None) == 0.0:
-                return dist
-            exceptions = dict(dist.exceptions)
-            exceptions[None] = dist.prob(None) * factor
-            return _renormalized(dist, exceptions, dist.floor)
+            return dist if factor == 1.0 or dist.prob(None) == 0.0 else _scaled(dist, [None], factor)
         if kind is TransformKind.EPENTHESIS:
             if key.stress is not StressClass.STRESSED:
                 return dist
@@ -135,29 +135,14 @@ class AppliedTransform:
                 return dist
             adm = admissible_targets(model.alphabet, key)
             # joining targets: markers outside the admissible set with mass
-            exceptions = dict(dist.exceptions)
-            joining = [t for t, p in exceptions.items()
-                       if t is not None and t not in adm and p > 0.0]
-            for t in joining:
-                exceptions[t] *= factor
-            floor = dist.floor
-            at_floor = set(dist.support()) - exceptions.keys()
-            joining_at_floor = at_floor - adm - {None} if floor > 0.0 else set()
-            if joining_at_floor:
-                exceptions.update(dict.fromkeys(at_floor - joining_at_floor, floor))
-                floor *= factor
-            elif not joining:
-                return dist
-            return _renormalized(dist, exceptions, floor)
+            joining = [t for t, p in dist.entries if p > 0.0 and t not in adm and t is not None]
+            return _scaled(dist, joining, factor) if joining else dist
         if kind is TransformKind.LENITION:
             if key.unit not in (Unit.ONSET, Unit.RHYME):
                 return dist
             if not any(c is not None and c.manner is Manner.VOWEL for c in key.context):
                 return dist
-            frac = lam * (self.regime.rate - 1.0) / self.regime.rate
-            frac = min(1.0, max(0.0, frac))
-            if frac == 0.0:
-                return dist
+            frac = min(1.0, max(0.0, lam * (self.regime.rate - 1.0) / self.regime.rate))
             return _move_mass(dist, _LENITION_SRC, _LENITION_DST, frac)
         if kind is TransformKind.ASSIMILATION:
             slot = following_context_slot(key)

@@ -449,6 +449,39 @@ class TestVaryBytes:
         assert hashlib.sha256(Path(varied).read_bytes()).hexdigest() == self.VARIED
 
 
+class TestVariedScoreBytes:
+    # score's stdout for the TestSampleBytes.GENERIC corpus under the model trained
+    # on it, varied three ways; the CI no-numpy job checks its varied_scores.txt
+    # against SCORED_STRAIGHTENED
+    SCORED_STRAIGHTENED = "ba527ba9a0b9e4a80e9dd7e3f1507682ee8839e1b12619f0fab543e28b60652e"
+    SCORED_SYNCOPATED = "e0d6a92b33a6ee4fe3a27cc0614787fc87b610f90b3c49482894939448f55b4e"
+    SCORED_EPENTHESIZED = "733fdb555ec50d2b7211ff42988891cfe17d6c5eb58e4d56a7e11af0a5ad88d7"
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        corpus, model = (tmp_path_factory.mktemp("varied") / n for n in ("c.jsonl", "m.json"))
+        code, out, err = run(["sample", "-n", "50", "--seed", "7"])
+        assert code == 0, err
+        corpus.write_text(out, encoding="utf-8")
+        assert run(["train", str(corpus), "--out", str(model)])[0] == 0
+        return str(corpus), str(model)
+
+    @pytest.mark.parametrize("transform,expected", [
+        (["straightening", "--lambda", "0.5", "--rate", "2"], SCORED_STRAIGHTENED),
+        (["syncope", "--lambda", "0.5", "--rate", "2"], SCORED_SYNCOPATED),
+        (["epenthesis", "--lambda", "0.5", "--loud", "3"], SCORED_EPENTHESIZED),
+    ], ids=["straightening", "syncope", "epenthesis"])
+    def test_score(self, tmp_path, trained, transform, expected):
+        import hashlib
+        corpus, model = trained
+        varied = str(tmp_path / "v.json")
+        code, _, err = run(["vary", "--model", model, "--transform", *transform, "--out", varied])
+        assert code == 0, err
+        code, out, err = run(["score", corpus, "--model", varied])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 class TestModelRecordErrors:
     """Each malformed target record keeps its message and exit code, wherever it occurs.
 

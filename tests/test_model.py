@@ -7,6 +7,8 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1267,3 +1269,78 @@ class TestSamplingMemory:
             tracemalloc.stop()
         assert len(strings) == 200
         assert live < 5_000_000, live
+
+
+class TestNumbersStoredAsFloats:
+    """epsilon, alpha and the quantization references are stored as floats.
+
+    So a model the library builds saves to a file that loads and re-saves
+    byte for byte, and a number of any other type is refused where it is given.
+    """
+
+    @staticmethod
+    def saved(model):
+        buf = io.StringIO()
+        save_model(model, buf)
+        return buf.getvalue()
+
+    @staticmethod
+    def corpus(alphabet):
+        rng = np.random.default_rng(5)
+        return [random_valid_string(rng, alphabet, max_len=9, prosody_span=2) for _ in range(10)]
+
+    @staticmethod
+    def unread():
+        raise AssertionError("the corpus was read")
+        yield
+
+    @pytest.mark.parametrize("epsilon", [0, np.float64(0.05)], ids=["int", "numpy"])
+    def test_generic_resaves_byte_for_byte(self, mini_alphabet, epsilon):
+        text = self.saved(generic_model(mini_alphabet, epsilon=epsilon))
+        assert self.saved(load_model(text, mini_alphabet)) == text
+
+    def test_trained_resaves_byte_for_byte(self, mini_alphabet):
+        text = self.saved(train(self.corpus(mini_alphabet), alpha=1, epsilon=0, alphabet=mini_alphabet))
+        assert '"alpha":"1.0"' in text and '"epsilon":"0.0"' in text
+        assert self.saved(load_model(text, mini_alphabet)) == text
+
+    @pytest.mark.parametrize("name", ["reference_duration_sec", "reference_pitch_hz", "reference_loudness"])
+    def test_integer_reference_resaves_byte_for_byte(self, mini_alphabet, name):
+        from phonospace import QuantizationConfig
+        config = QuantizationConfig(**{name: 100})
+        assert type(getattr(config, name)) is float and getattr(config, name) == 100.0
+        text = self.saved(generic_model(mini_alphabet, quantization=config))
+        assert self.saved(load_model(text, mini_alphabet)) == text
+
+    @pytest.mark.parametrize("bad", [False, True, Fraction(1, 20), Decimal("0.05"), "0.1", None])
+    def test_epsilon_type_rejected(self, mini_alphabet, bad):
+        with pytest.raises(ModelError, match="'epsilon' must be an int or a float"):
+            generic_model(mini_alphabet, epsilon=bad)
+        with pytest.raises(ModelError, match="epsilon"):
+            dataclasses.replace(generic_model(mini_alphabet), epsilon=bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        (Fraction(1, 100), "'alpha' must be an int or a float"), ("0.1", "'alpha' must be an int or a float"),
+        (True, "'alpha' must be an int or a float"), (10**400, "alpha must be finite")],
+        ids=["fraction", "string", "bool", "huge-int"])
+    def test_alpha_rejected_before_the_corpus_is_read(self, mini_alphabet, bad, message):
+        with pytest.raises(ModelError, match=message):
+            train(self.unread(), alpha=bad, alphabet=mini_alphabet)
+        with pytest.raises(ModelError, match=message):
+            dataclasses.replace(generic_model(mini_alphabet), alpha=bad)
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 20), "0.1", False, 1.5])
+    def test_train_epsilon_rejected_before_the_corpus_is_read(self, mini_alphabet, bad):
+        with pytest.raises(ModelError, match="epsilon"):
+            train(self.unread(), epsilon=bad, alphabet=mini_alphabet)
+
+    @pytest.mark.parametrize("bad,message", [
+        (True, "must be an int or a float"), (Fraction(1, 10), "must be an int or a float"),
+        (Decimal("0.1"), "must be an int or a float"), ("100", "must be an int or a float"),
+        (10**400, "must be finite and strictly positive")],
+        ids=["bool", "fraction", "decimal", "string", "huge-int"])
+    def test_reference_rejected(self, bad, message):
+        from phonospace import QuantizationConfig
+        for name in ("reference_duration_sec", "reference_pitch_hz", "reference_loudness"):
+            with pytest.raises(ValueError, match=f"{name} {message}"):
+                QuantizationConfig(**{name: bad})

@@ -3,6 +3,7 @@ import pytest
 from phonospace import (
     CategoricalDist,
     CondKey,
+    Marker,
     Phone,
     ProsodicVector,
     Regime,
@@ -327,3 +328,70 @@ def test_straightening_a_partial_support_matches_the_reference(mini_alphabet, mk
     got = varied.dist(key)
     assert got.support() == d.support()
     assert got.entries == tuple((t, p / total) for t, p in probs.items())
+
+
+class TestTransformedLawBytes:
+    """Pins the bits every transform produces, over both alphabets and both kinds of base.
+
+    The digest is the sha256 of ``repr((key, d.entries))`` for each transformed
+    dist, in the order below; it was taken before syncope and epenthesis shared
+    their scaling helper, so any change in a transformed probability fails it.
+    """
+
+    DIGEST = "a25e5419c8a635620a383e890b1dce078d940dd1ba7220ad012935a20acd69ac"
+    # (lambda, regime): a mild regime, a slow quiet one, and one whose factors clip
+    REGIMES = [(0.5, Regime(rate=2, loud=3)), (1.0, Regime(rate=0.25, loud=0.25)),
+               (1.0, Regime(rate=1e6, loud=1e6))]
+    GRID = [(unit, c) for unit in (Unit.ONSET, Unit.RHYME) for c in StressClass]
+
+    def keys(self, alphabet, trained):
+        stored = sorted(trained.tables, key=CondKey.sort_key)
+        cells = list(alphabet)
+        keys = stored[::-(-len(stored) // 60)]  # at most 60, spread over the stored keys
+        # every eighth cell's onset and rhyme keys in every class; on a large
+        # alphabet every ninth of them, which still visits every class and unit
+        cell_keys = [CondKey(unit, c, (m,)) for unit, c in self.GRID for m in cells[::8]]
+        keys += cell_keys[::-(-len(cells) // 40)]
+        # the later context of an unstressed nucleus triggers assimilation
+        trigger = Marker.from_ascii("plosive:back:close:palatAlveoLabial")
+        return keys + [CondKey(Unit.NUCLEUS, U, (cells[1], trigger)), CondKey(Unit.NUCLEUS, S, (None,))]
+
+    def partial_support_model(self, mini_alphabet, mk):
+        # one dist over fewer targets than the alphabet has, under a key each
+        # kind of transform edits
+        t, r, n, m = (mk(f"{manner}:{fb}:close:palatAlveoLabial") for manner, fb in (
+            ("plosive", "central"), ("approximant", "central"), ("nasal", "central"), ("nasal", "back")))
+        vowel, trigger = mk("vowel:front:close:glottal"), mk("plosive:back:close:palatAlveoLabial")
+        d = CategoricalDist([(None, 0.2), (t, 0.3), (r, 0.1), (n, 0.25), (m, 0.15)])
+        tables = {CondKey(Unit.RHYME, U, (vowel,)): d, CondKey(Unit.ONSET, S, (trigger,)): d}
+        from phonospace import ProsodicLimits
+        return LanguageModel(alphabet=mini_alphabet, tables=tables, epsilon=0.05, alpha=0.0,
+                             limits=ProsodicLimits.full())
+
+    def test_digest(self, alphabet, mini_alphabet, mk):
+        import hashlib
+        from phonospace import sample_with_rng
+        from phonospace.prng import Pcg64
+        cases = []
+        for a in (mini_alphabet, alphabet):
+            generic = generic_model(a, epsilon=0.05)
+            rng = Pcg64(11)
+            trained = train([sample_with_rng(generic, 3, rng) for _ in range(40)], alphabet=a)
+            keys = self.keys(a, trained)
+            cases += [(generic, keys), (trained, keys)]
+        partial = self.partial_support_model(mini_alphabet, mk)
+        cases.append((partial, list(partial.tables)))
+        h = hashlib.sha256()
+        # id -> (dist, repr of its entries), so a dist a transform leaves is formatted
+        # once; holding the dist keeps its id from being reused
+        texts = {}
+        for base, keys in cases:
+            for kind in TransformKind:
+                for lam, regime in self.REGIMES:
+                    varied = apply(base, regime, TransformSpec(kind, lam))
+                    for key in keys:
+                        d = varied.dist(key)
+                        if id(d) not in texts:
+                            texts[id(d)] = d, repr(d.entries)
+                        h.update(f"({key!r}, {texts[id(d)][1]})".encode())  # repr((key, d.entries))
+        assert h.hexdigest() == self.DIGEST
