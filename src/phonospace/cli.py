@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from . import corpus as corpus_io
 from .alphabet import Alphabet, default_alphabet, load_alphabet_path
@@ -74,21 +74,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _report_skipped(i: int, rec, exc: InvalidPhoneString) -> None:
-    print(f"error: string {i} (line {rec.line}): invalid {exc}; skipped", file=sys.stderr)
+def _analyses(args, analyse: Callable) -> Iterator[tuple]:
+    """(number, record, ``analyse(record.phones)``) per corpus string.
+
+    Under --skip-invalid an invalid string is reported on stderr and skipped.
+    """
+    for i, rec in enumerate(corpus_io.read_corpus(args.corpus), start=1):
+        try:
+            analysis = analyse(rec.phones)
+        except InvalidPhoneString as exc:
+            if not args.skip_invalid:
+                raise
+            print(f"error: string {i} (line {rec.line}): invalid {exc}; skipped", file=sys.stderr)
+            continue
+        yield i, rec, analysis
 
 
 def cmd_syllabify(args) -> int:
     alphabet = _load_alphabet(args)
     weights = _weights(args)
-    for i, rec in enumerate(corpus_io.read_corpus(args.corpus), start=1):
-        try:
-            s, parse, scores, classes, plan = parse_and_plan(rec.phones, alphabet, weights)
-        except InvalidPhoneString as exc:
-            if not args.skip_invalid:
-                raise
-            _report_skipped(i, rec, exc)
-            continue
+    analyses = _analyses(args, lambda phones: parse_and_plan(phones, alphabet, weights))
+    for i, rec, (s, parse, scores, classes, plan) in analyses:
         doc = {
             "string": i,
             "line": rec.line,
@@ -140,14 +146,7 @@ def cmd_score(args) -> int:
     model = load_model(args.model, alphabet)
     weights = _weights(args)
     total = 0.0
-    for i, rec in enumerate(corpus_io.read_corpus(args.corpus), start=1):
-        try:
-            lp = score(model, rec.phones, weights)
-        except InvalidPhoneString as exc:
-            if not args.skip_invalid:
-                raise
-            _report_skipped(i, rec, exc)
-            continue
+    for i, rec, lp in _analyses(args, lambda phones: score(model, phones, weights)):
         total += lp
         print(f"string {i} (line {rec.line}): {lp!r}")
     print(f"total: {total!r}")

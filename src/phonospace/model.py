@@ -686,10 +686,6 @@ def legal_stress_sequences(k: int) -> Tuple[Tuple[StressClass, ...], ...]:
     return tuple(seqs)
 
 
-class _Resample(Exception):
-    pass
-
-
 _CLOSURE = Manner.CLOSURE
 _NULL_REDRAWS = 16  # null draws a marker draw redraws before it gives up
 _INWARD_CAP = 4  # longest interior an inward side grows
@@ -701,8 +697,8 @@ _VISIT = {StressClass.STRESSED: 0, StressClass.MIDDLING_LTR: 1,
 
 
 def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
-                     rng: Rng) -> List[Marker]:
-    """Realize one string's markers, one syllable at a time.
+                     rng: Rng) -> Optional[List[Marker]]:
+    """Realize one string's markers, one syllable at a time, or None when they cannot be.
 
     Syllables are visited stressed first, then middling left-to-right ones
     from the left, middling right-to-left ones from the right, then
@@ -741,7 +737,7 @@ def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
             if junctions[j] is None:
                 # only the string-initial junction may be drawn here
                 if j != 0 or not closures:
-                    raise _Resample
+                    return None
                 junctions[j] = closures[int(rng.integers(len(closures)))]
         ends = []
         for unit, j in inward:
@@ -758,7 +754,7 @@ def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
             ends.append(cur)
         nucleus = nuclei[i] = draw_marker(Unit.NUCLEUS, cls, tuple(ends) or (None,))
         if nucleus is None:
-            raise _Resample
+            return None
         for unit, j in sides:
             if (unit, cls) not in _AWAY:
                 continue
@@ -771,7 +767,7 @@ def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
                     if t.manner is _CLOSURE:
                         break
             else:
-                raise _Resample
+                return None
             junctions[j] = grown.pop()
             interiors[unit, j] = grown
 
@@ -797,9 +793,8 @@ def sample_with_rng(
         k = int(rng.integers(1, max_syllables + 1))
         options = legal_stress_sequences(k)
         classes = options[int(rng.integers(len(options)))]
-        try:
-            markers = _realize_markers(model, classes, rng)
-        except _Resample:
+        markers = _realize_markers(model, classes, rng)
+        if markers is None:
             continue
         phones = [Phone(m, model.limits.draw(rng)) for m in markers]
         try:

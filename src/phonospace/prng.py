@@ -121,10 +121,10 @@ class Pcg64:
             raise ValueError("bounds out of range for int64")
         if span == 0:
             return low
-        if span < _M32:
+        if span <= _M32:
             # Lemire over 32-bit draws: the high word of draw * n, rejecting the low words
-            # below 2**32 % n. The first draw is next32() inline, so an accepted one runs
-            # in this frame.
+            # below 2**32 % n (none when n is 2**32). The first draw is next32() inline, so
+            # an accepted one runs in this frame.
             n = span + 1
             half = self._half
             if half is None:
@@ -142,11 +142,7 @@ class Pcg64:
                 while m & _M32 < threshold:
                     m = self.next32() * n
             return low + (m >> 32)
-        if span == _M32:
-            return low + self.next32()
-        if span == _M64:
-            return low + self.next64()
-        # Lemire over 64-bit draws
+        # Lemire over 64-bit draws; the full int64 range rejects none
         n = span + 1
         m = self.next64() * n
         if m & _M64 < n:

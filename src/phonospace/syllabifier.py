@@ -196,41 +196,34 @@ class SyllableParse:
     syllables: Tuple[Syllable, ...]
 
 
-def _build_blocks(s: PhoneString) -> List[Block]:
-    blocks: List[Block] = []
-    phones = s.phones
-    start = 0
-    for i in range(1, len(phones) + 1):
-        if i == len(phones) or cmp_sonority(phones[i - 1].marker, phones[i].marker) is not SonorityRelation.EQUIVALENT:
-            blocks.append(Block(start, i - 1))
-            start = i
-    return blocks
-
-
 def parse_syllables(s: PhoneString) -> SyllableParse:
     """Segment a collapsed, valid string into syllables at sonority minima.
 
+    One pass over adjacent phones compares each pair once: a relation
+    other than EQUIVALENT closes a block and is kept as its boundary's.
     String edges always anchor a boundary; interior anchors are the
     blocks strictly below both neighbors. Adjacent syllables share their
     boundary minimum block, and between two anchors the block profile
     rises to a unique peak (the nucleus) and falls again.
     """
-    blocks = _build_blocks(s)
     phones = s.phones
-    n = len(blocks)
+    blocks: List[Block] = []
     # rel[i]: LESS iff block i sits below block i+1, judged at the boundary pair
-    rel = [
-        cmp_sonority(phones[blocks[i].end].marker, phones[blocks[i + 1].start].marker)
-        for i in range(n - 1)
-    ]
-    anchors = [0]
-    for i in range(1, n - 1):
-        if rel[i - 1] is SonorityRelation.GREATER and rel[i] is SonorityRelation.LESS:
-            anchors.append(i)
-    if n > 1:
-        anchors.append(n - 1)
+    rel: List[SonorityRelation] = []
+    start = 0
+    for i in range(1, len(phones)):
+        r = cmp_sonority(phones[i - 1].marker, phones[i].marker)
+        if r is not SonorityRelation.EQUIVALENT:
+            blocks.append(Block(start, i - 1))
+            rel.append(r)
+            start = i
+    blocks.append(Block(start, len(phones) - 1))
+    n = len(blocks)
     if n < 2:  # cannot occur for a validated string (closures never join a block)
         raise ValueError("phone string has a single sonority block; validate it first")
+    minima = [i for i in range(1, n - 1)
+              if rel[i - 1] is SonorityRelation.GREATER and rel[i] is SonorityRelation.LESS]
+    anchors = [0, *minima, n - 1]
     syllables: List[Syllable] = []
     for a, b in zip(anchors, anchors[1:]):
         peak = a

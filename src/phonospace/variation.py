@@ -26,7 +26,6 @@ from .model import (
     ModelError,
     Target,
     _index_for,
-    admissible_targets,
     following_context_slot,
 )
 from .sonority import DISTANCES
@@ -133,9 +132,9 @@ class AppliedTransform:
             factor = 1.0 + lam * (self.regime.loud - 1.0)
             if factor == 1.0:
                 return dist
-            adm = admissible_targets(model.alphabet, key)
-            # joining targets: markers outside the admissible set with mass
-            joining = [t for t, p in dist.entries if p > 0.0 and t not in adm and t is not None]
+            index = _index_for(model.alphabet)
+            # joining targets: the cells outside the key's row that carry mass
+            joining = [t for t in index.members(index.full & ~index.row(key)) if dist.prob(t) > 0.0]
             return _scaled(dist, joining, factor) if joining else dist
         if kind is TransformKind.LENITION:
             if key.unit not in (Unit.ONSET, Unit.RHYME):

@@ -210,6 +210,23 @@ class TestSkipInvalid:
         assert err.startswith("error: string 2 (line ") and len(err.splitlines()) == 1
 
 
+class TestTrainSkipInvalid:
+    def test_train(self, tmp_path, mini_alphabet, rng, mk, mini_path):
+        from phonospace import read_corpus
+        corpus = mixed_corpus(tmp_path, mini_alphabet, rng, mk)
+        first, bad, third = read_corpus(corpus)
+        valid = tmp_path / "valid.jsonl"
+        write_corpus([first.phones, third.phones], str(valid))
+        model, expected = tmp_path / "m.json", tmp_path / "expected.json"
+        code, _, err = run(["--alphabet", mini_path, "train", corpus, "--out", str(model)])
+        assert code == 1 and f"line {bad.line}" in err and not model.exists()
+        code, _, err = run(["--alphabet", mini_path, "train", corpus, "--out", str(model),
+                            "--skip-invalid"])
+        assert code == 0, err
+        assert run(["--alphabet", mini_path, "train", str(valid), "--out", str(expected)])[0] == 0
+        assert model.read_bytes() == expected.read_bytes()
+
+
 class TestSampleBytes:
     # digests of the output of the dense-distribution implementation
     # (model format 1), which the floor-plus-exceptions form must reproduce
@@ -269,6 +286,26 @@ class TestScoreBytes:
         code, out, err = run(["score", str(corpus), "--model", model_path])
         assert code == 0, err
         assert ("-inf" in out) == (epsilon == 0.0)
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+class TestSyllabifyBytes:
+    # syllabify's stdout for the TestSampleBytes.GENERIC corpus: the parser's syllables,
+    # their stress scores and classes, and the plans; the CI no-numpy job checks its
+    # syllables.json against SYLLABIFIED_JSON
+    SYLLABIFIED_JSON = "4bb0acc9a9443a04b0de219299518e92129b575080e400fa843367d7cea935ad"
+    SYLLABIFIED_TEXT = "bd7386288bc081a75540dfcb84423d87202872d15b7adbcfd4d9f7258397a0f6"
+
+    @pytest.mark.parametrize("flags,expected", [(["--json"], SYLLABIFIED_JSON), ([], SYLLABIFIED_TEXT)],
+                             ids=["json", "text"])
+    def test_generic_corpus(self, tmp_path, flags, expected):
+        import hashlib
+        corpus = tmp_path / "corpus.jsonl"
+        code, out, err = run(["sample", "-n", "50", "--seed", "7"])
+        assert code == 0, err
+        corpus.write_text(out, encoding="utf-8")
+        code, out, err = run(["syllabify", *flags, str(corpus)])
+        assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
