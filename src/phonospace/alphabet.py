@@ -200,9 +200,6 @@ class Phone:
         return self.marker is None
 
 
-NULL_PHONE = Phone(None)
-
-
 class AlphabetError(ValueError):
     """Malformed alphabet document."""
 
@@ -221,7 +218,6 @@ class Alphabet:
     cells: frozenset
     _symbol_of: dict = field(repr=False)
     _marker_of: dict = field(repr=False)
-    notes: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -269,16 +265,15 @@ def load_alphabet(table_data: str) -> Alphabet:
     """Build an Alphabet from the tab-separated cell listing.
 
     One record per populated cell: place, manner, frontBack, openClose,
-    symbol, optional note. Lines starting with ``#`` are comments; a
-    ``version<TAB>...`` line names the table revision. Duplicate markers
-    or symbols, unknown attribute names, vowel cells outside the glottal
-    place and symbols containing ``:`` (reserved for ASCII notation) are
-    rejected.
+    symbol, optional note (it documents the table; the loader ignores it).
+    Lines starting with ``#`` are comments; a ``version<TAB>...`` line
+    names the table revision. Duplicate markers or symbols, unknown
+    attribute names, vowel cells outside the glottal place and symbols
+    containing ``:`` (reserved for ASCII notation) are rejected.
     """
     version = ""
     symbol_of: dict = {}
     marker_of: dict = {}
-    notes: dict = {}
     for lineno, raw in enumerate(table_data.splitlines(), start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -292,7 +287,6 @@ def load_alphabet(table_data: str) -> Alphabet:
         if len(fields) < 5:
             raise AlphabetError(f"line {lineno}: expected 5+ tab-separated fields")
         place_s, manner_s, fb_s, oc_s, symbol = (f.strip() for f in fields[:5])
-        note = fields[5].strip() if len(fields) > 5 else ""
         try:
             marker = _marker_of_names((manner_s, fb_s, oc_s, place_s))
         except KeyError as exc:
@@ -311,12 +305,8 @@ def load_alphabet(table_data: str) -> Alphabet:
             raise AlphabetError(f"line {lineno}: duplicate symbol {symbol!r}")
         symbol_of[marker] = symbol
         marker_of[symbol] = marker
-        if note:
-            notes[marker] = note
-    return Alphabet(
-        version=version, cells=frozenset(symbol_of),
-        _symbol_of=symbol_of, _marker_of=marker_of, notes=notes,
-    )
+    return Alphabet(version=version, cells=frozenset(symbol_of),
+                    _symbol_of=symbol_of, _marker_of=marker_of)
 
 
 def load_alphabet_path(path) -> Alphabet:

@@ -9,8 +9,9 @@ files only and are rejected in transcriptions.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import IO, ContextManager, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .alphabet import Phone, ProsodicVector, UnknownSymbolError, marker_from_record, marker_to_record
 
@@ -65,42 +66,45 @@ def phone_from_record(rec: dict, line: Optional[int] = None) -> Phone:
     return phone if t0 is None else replace(phone, t0=float(t0))
 
 
+def open_text(target: Union[str, IO], mode: str) -> ContextManager[IO]:
+    """A passed file object as it is (left open), or the file at a path opened as UTF-8.
+
+    ``mode`` is ``"r"`` or ``"w"``; an object with ``read`` (or ``write``) is the file.
+    """
+    if hasattr(target, "read" if mode == "r" else "write"):
+        return nullcontext(target)
+    return open(target, mode, encoding="utf-8")
+
+
 def read_corpus(source: Union[str, IO]) -> Iterator[CorpusString]:
     """Stream the phone strings of a corpus file or file object."""
-    if hasattr(source, "read"):
-        yield from _read_lines(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from _read_lines(fh)
-
-
-def _read_lines(fh: IO) -> Iterator[CorpusString]:
-    phones: List[Phone] = []
-    start_line = 0
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if not line:
-            if phones:
-                yield CorpusString(start_line, phones)
-                phones = []
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"malformed JSON ({exc.msg})", lineno) from None
-        if not phones:
-            start_line = lineno
-        phones.append(phone_from_record(rec, lineno))
-    if phones:
-        yield CorpusString(start_line, phones)
+    with open_text(source, "r") as fh:
+        phones: List[Phone] = []
+        start_line = 0
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                continue
+            if not line:
+                if phones:
+                    yield CorpusString(start_line, phones)
+                    phones = []
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"malformed JSON ({exc.msg})", lineno) from None
+            if not phones:
+                start_line = lineno
+            phones.append(phone_from_record(rec, lineno))
+        if phones:
+            yield CorpusString(start_line, phones)
 
 
 def write_corpus(strings: Iterable[Sequence[Phone]], destination: Union[str, IO],
                  header_lines: Sequence[str] = ()) -> None:
     """Write strings as JSONL with blank-line separators; deterministic bytes."""
-    def _write(fh: IO):
+    with open_text(destination, "w") as fh:
         for h in header_lines:
             fh.write(f"# {h}\n")
         first = True
@@ -110,9 +114,3 @@ def write_corpus(strings: Iterable[Sequence[Phone]], destination: Union[str, IO]
             first = False
             for phone in s:
                 fh.write(json.dumps(phone_to_record(phone), separators=(",", ":")) + "\n")
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            _write(fh)

@@ -43,6 +43,7 @@ from .alphabet import (
     marker_from_record,
     marker_to_record,
 )
+from .corpus import open_text
 from .prng import Pcg64, Rng
 from .sonority import DISTANCES, STEP_RULE, PartialOrdering, StepDimension
 from .syllabifier import (
@@ -521,10 +522,6 @@ class LanguageModel:
         model = ref(self)
         self._memo = lru_cache(maxsize=8192)(lambda key: model()._build(key))
 
-    @property
-    def alphabet_version(self) -> str:
-        return self.alphabet.version
-
     def generic_dist(self, key: CondKey) -> CategoricalDist:
         """The language-neutral distribution for one key, shared by every key with its row."""
         index = _index_for(self.alphabet)
@@ -707,7 +704,9 @@ def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
     otherwise. Inward sides grow geometrically from the junction closures
     that neighbours made earlier; the nucleus is drawn from their inner
     ends; outward sides grow from the nucleus to the closure that becomes
-    their junction.
+    their junction. An inward side faces a higher-ranked neighbour, visited
+    earlier, whose facing side is outward; only the string-initial junction
+    has none, and it is drawn uniformly from the closures.
     """
     k = len(classes)
     junctions: List[Optional[Marker]] = [None] * (k + 1)
@@ -733,15 +732,13 @@ def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
         cls = classes[i]
         sides = ((Unit.ONSET, i), (Unit.RHYME, i + 1))
         inward = [(unit, j) for unit, j in sides if (unit, cls) not in _AWAY]
-        for _, j in inward:
-            if junctions[j] is None:
-                # only the string-initial junction may be drawn here
-                if j != 0 or not closures:
-                    return None
-                junctions[j] = closures[int(rng.integers(len(closures)))]
         ends = []
         for unit, j in inward:
             cur, grown = junctions[j], []
+            if cur is None:  # the string-initial junction
+                if not closures:
+                    return None
+                cur = junctions[j] = closures[int(rng.integers(len(closures)))]
             for _ in range(_INWARD_CAP):
                 if rng.random() < 0.5:
                     break
@@ -885,7 +882,7 @@ def model_to_json(model: LanguageModel) -> str:
                       f'"context":[{context}]}},"dist":[{pairs}]{floor}}}')
     doc = {
         "format": STACK_FORMAT_VERSION if model.transforms else FORMAT_VERSION,
-        "alphabet_version": model.alphabet_version,
+        "alphabet_version": model.alphabet.version,
         "epsilon": repr(model.epsilon),
         "alpha": repr(model.alpha),
         # float fields as repr strings (exact round trip), integer fields as JSON integers
@@ -908,22 +905,17 @@ def save_model(model: LanguageModel, destination) -> None:
     rebuilds it, so the reloaded model applies the stack lazily to every
     lookup, stored or not, as the saved one did.
     """
-    text = model_to_json(model) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    text = model_to_json(model) + "\n"  # built first, so a failure leaves the file as it was
+    with open_text(destination, "w") as fh:
+        fh.write(text)
 
 
 def load_model(source, alphabet: Alphabet) -> LanguageModel:
     """Parse and validate a saved model against the given alphabet."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:
-        with open(source, "r", encoding="utf-8") as fh:
+        with open_text(source, "r") as fh:
             text = fh.read()
     try:
         obj = json.loads(text)

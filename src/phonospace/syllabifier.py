@@ -170,7 +170,6 @@ class Block:
 @dataclass(frozen=True)
 class Syllable:
     start_block: int
-    nucleus_block: int
     end_block: int
     start: int    # first phone of the start block
     nucleus: int  # representative phone of the nucleus block (position m)
@@ -234,7 +233,7 @@ def parse_syllables(s: PhoneString) -> SyllableParse:
                 break
         sb, nb, eb = blocks[a], blocks[peak], blocks[b]
         syllables.append(Syllable(
-            start_block=a, nucleus_block=peak, end_block=b,
+            start_block=a, end_block=b,
             start=sb.start, nucleus=nb.start, end=eb.end,
             interior_start=sb.end + 1, interior_end=eb.start - 1,
         ))

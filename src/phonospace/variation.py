@@ -217,9 +217,9 @@ def drift_report(
     Defaults to the union of the two models' stored tables; keys missing
     from either side are compared through the generic fallback.
     """
-    if base.alphabet_version != varied.alphabet_version:
+    if base.alphabet.version != varied.alphabet.version:
         raise ModelError(
-            f"alphabet mismatch: {base.alphabet_version!r} vs {varied.alphabet_version!r}")
+            f"alphabet mismatch: {base.alphabet.version!r} vs {varied.alphabet.version!r}")
     if keys is None:
         keys = sorted(set(base.tables) | set(varied.tables), key=CondKey.sort_key)
     report = [(key, base.dist(key).tv_distance(varied.dist(key))) for key in keys]

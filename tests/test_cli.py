@@ -288,6 +288,21 @@ class TestScoreBytes:
         assert ("-inf" in out) == (epsilon == 0.0)
         assert hashlib.sha256(out.encode()).hexdigest() == expected
 
+    # score's stdout for the same corpus under the model trained on it; the CI
+    # no-numpy job checks its scores.txt against this digest
+    SCORED_TRAINED = "f7d7fee49e8ea3de443d1f17fcaf5c7bc3de3ff0be88a49a78df0072f383a6e2"
+
+    def test_trained_model(self, tmp_path):
+        import hashlib
+        corpus, model_path = tmp_path / "corpus.jsonl", str(tmp_path / "model.json")
+        code, out, err = run(["sample", "-n", "50", "--seed", "7"])
+        assert code == 0, err
+        corpus.write_text(out, encoding="utf-8")
+        assert run(["train", str(corpus), "--out", model_path])[0] == 0
+        code, out, err = run(["score", str(corpus), "--model", model_path])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SCORED_TRAINED
+
 
 class TestSyllabifyBytes:
     # syllabify's stdout for the TestSampleBytes.GENERIC corpus: the parser's syllables,

@@ -5,6 +5,7 @@ import pytest
 
 from phonospace import Phone, ProsodicVector, phone_from_record, phone_to_record
 from phonospace.corpus import CorpusFormatError, read_corpus, write_corpus
+from conftest import random_valid_string
 
 
 def sample_phone(mk, t0=None):
@@ -72,6 +73,37 @@ class TestStream:
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
+
+
+class TestOpenText:
+    # the corpus and model readers and writers take a path or an open text file by one
+    # rule: both give the same bytes or the same model, and a passed file stays open
+    @pytest.mark.parametrize("verb", ["read_corpus", "write_corpus", "save_model", "load_model"])
+    def test_path_or_open_file(self, tmp_path, mini_alphabet, rng, verb):
+        from phonospace import load_model, save_model, train
+        from phonospace.model import model_to_json
+        strings = [random_valid_string(rng, mini_alphabet, max_len=9, prosody_span=2)
+                   for _ in range(5)]
+        model = train(strings, alphabet=mini_alphabet)
+        corpus, saved = tmp_path / "corpus.jsonl", tmp_path / "model.json"
+        write_corpus(strings, str(corpus))
+        save_model(model, str(saved))
+        # per verb: the file it reads or writes, the mode it opens it in, and the call
+        path, mode, call = {
+            "read_corpus": (corpus, "r", lambda target: list(read_corpus(target))),
+            "write_corpus": (tmp_path / "out.jsonl", "w", lambda target: write_corpus(strings, target)),
+            "save_model": (tmp_path / "out.json", "w", lambda target: save_model(model, target)),
+            "load_model": (saved, "r", lambda target: model_to_json(load_model(target, mini_alphabet))),
+        }[verb]
+        by_path = call(str(path))
+        if mode == "w":  # a writer's result is the file's bytes
+            by_path = path.read_bytes()
+        with open(path, mode, encoding="utf-8") as fh:
+            by_file = call(fh)
+            assert not fh.closed, f"{verb} closed the file it was passed"
+        if mode == "w":
+            by_file = path.read_bytes()
+        assert by_path and by_file == by_path
 
 GOOD = {"m": "vowel", "fb": "front", "oc": "close", "pl": "glottal",
         "R": 0, "N": 0, "V": 1, "T": 3, "D": 0, "L": 0}
