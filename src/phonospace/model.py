@@ -17,6 +17,7 @@ dependency order from the same conditionals.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import operator
@@ -366,7 +367,7 @@ def _row(ctx: Marker, per_dim: Sequence[Tuple[str, _RankClasses]]) -> int:
 
 class _AdmissibilityIndex:
     """Single-step admissibility of one alphabet's cells, the generic law per row,
-    and the tables through which model files write and read target records.
+    and the tables through which model files name targets.
 
     A row is an ``int`` bit mask over the canonical ``cells``, bit i standing
     for ``cells[i]``. Rows come from per-dimension rank classes of the step
@@ -440,12 +441,7 @@ class _AdmissibilityIndex:
         """Cells t with ``is_diphthongal_step(t, ctx)``."""
         return frozenset(self.members(self.toward_row(ctx)))
 
-    # each codec table is built on its first use, so a verb that only loads builds no text
-
-    @cached_property
-    def records(self) -> Dict[Target, str]:
-        """Each support target's model-file record, as JSON text."""
-        return {t: _dumps(_record(t)) for t in self.support.targets}
+    # each codec table is built on its first use, so a verb builds only the ones it reads
 
     @cached_property
     def targets(self) -> Dict[tuple, Target]:
@@ -454,8 +450,13 @@ class _AdmissibilityIndex:
 
     @cached_property
     def positions(self) -> Dict[Target, int]:
-        """Each support target's canonical position."""
+        """Each support target's canonical position, by which a model file names it."""
         return {t: i for i, t in enumerate(self.support.targets)}
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the support's records in canonical order: what a position refers to."""
+        return hashlib.sha256(_dumps([_record(t) for t in self.support.targets]).encode()).hexdigest()
 
 
 # weak keys: an index lives exactly as long as its alphabet
@@ -500,6 +501,10 @@ class LanguageModel:
     limits: ProsodicLimits
     quantization: QuantizationConfig = DEFAULT_QUANTIZATION
     transforms: Tuple = ()  # applied lazily, in order, by dist()
+    # per stored key, what training counted of each target; empty for a model built from
+    # probabilities. The tables are these counts smoothed by ``_smoothed``, and a model
+    # file holds the counts instead of the tables.
+    counts: Dict[CondKey, Dict[Target, int]] = field(default_factory=dict)
     _memo: Callable[[CondKey], CategoricalDist] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -515,6 +520,8 @@ class LanguageModel:
                     bad = next(t for t in named if t not in support.members)
                     raise ModelError(f"table {key!r} names {bad!r}, "
                                      f"not a cell of alphabet {self.alphabet.version!r}")
+        if self.counts and self.counts.keys() != self.tables.keys():
+            raise ModelError("counted keys differ from the stored tables' keys")
         # per instance, so a copy made by dataclasses.replace starts empty;
         # perfbench/run.py's DIST_CACHE_SIZE restates the bound. The memo reaches
         # its model through a weak reference, so the two form no reference cycle
@@ -606,7 +613,8 @@ def train(
     and ``.line``); every item is validated, collapsed, parsed,
     classified and planned, and (key, target) pairs are counted.
     Distributions are add-alpha smoothed relative frequencies over the
-    alphabet cells plus null. Prosodic limits default to the observed
+    alphabet cells plus null; the model keeps the counts, which is what
+    ``save_model`` writes. Prosodic limits default to the observed
     min/max per dimension; pass a ProsodicLimits or "full" to override.
     """
     epsilon, alpha = _smoothing(epsilon, alpha)  # before the corpus is read
@@ -639,18 +647,24 @@ def train(
     observed = ProsodicLimits.observed(prosodies())
 
     support = _index_for(alphabet).support
-    s_size = len(support.targets)
-    tables: Dict[CondKey, CategoricalDist] = {}
-    for key in sorted(counts, key=CondKey.sort_key):
-        c = counts[key]
-        denom = sum(c.values()) + alpha * s_size
-        tables[key] = CategoricalDist(
-            {t: (n + alpha) / denom for t, n in c.items()}, support, alpha / denom)
-
+    tables = {key: _smoothed(counts[key], alpha, support)
+              for key in sorted(counts, key=CondKey.sort_key)}
     return LanguageModel(
         alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
         limits=observed if limits == "observed" else limits, quantization=quantization,
+        counts=counts,
     )
+
+
+def _smoothed(counts: Dict[Target, int], alpha: float, support: Support) -> CategoricalDist:
+    """One key's add-alpha table: (n_t + alpha) / (N + alpha * S), floor alpha / (N + alpha * S).
+
+    N is the key's total count and S the size of the support. ``train`` and
+    ``load_model`` both build tables here, so a reloaded table is the same floats.
+    """
+    denom = sum(counts.values()) + alpha * len(support.targets)
+    return CategoricalDist({t: (n + alpha) / denom for t, n in counts.items()}, support,
+                           alpha / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -817,11 +831,12 @@ def sample(
 # ---------------------------------------------------------------------------
 # serialization
 
-FORMAT_VERSION = "phonospace-model-2"
-# a version-3 document is a version-2 document with a "transforms" stack before its tables
-STACK_FORMAT_VERSION = "phonospace-model-3"
-# a version-1 document is a version-2 document whose entries carry no floor
-READABLE_FORMATS = ("phonospace-model-1", FORMAT_VERSION, STACK_FORMAT_VERSION)
+FORMAT_VERSION = "phonospace-model-4"
+# formats 1-3 name each cell by a record of its attributes and still load: a
+# version-3 document is a version-2 one with a "transforms" stack before its tables,
+# and a version-1 document is a version-2 one whose entries carry no floor
+_V1, _V2, _V3 = (f"phonospace-model-{v}" for v in (1, 2, 3))
+READABLE_FORMATS = (_V1, _V2, _V3, FORMAT_VERSION)
 
 
 def _target_from_json(obj, alphabet: Alphabet) -> Target:
@@ -843,7 +858,7 @@ def _target_from_json(obj, alphabet: Alphabet) -> Target:
 
 
 def _record(t: Target) -> dict:
-    """A target's model-file record: a marker's attributes, or the null phone's flag."""
+    """A target's attribute record, which names it in a version 1-3 document and in the support digest."""
     return {"null": True} if t is None else marker_to_record(t)
 
 
@@ -851,59 +866,70 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
-# each unit's and each stress class's value as JSON text
+# each unit's and each stress class's value as JSON text, and the member each value names
 _VALUES = {m: _dumps(m.value) for enum in (Unit, StressClass) for m in enum}
+_UNITS = {u.value: u for u in Unit}
+_STRESSES = {c.value: c for c in StressClass}
 
 
 def model_to_json(model: LanguageModel) -> str:
     """The model document as one line of canonical JSON.
 
     The text is what ``json.dumps`` gives for the document object. Each
-    target record is read from the alphabet's table of record texts, so
-    every target must be an alphabet cell or the null phone, and each
-    probability is written as its ``repr``.
+    stored key is one row that names its unit and class by their values
+    and every cell by its position in the alphabet's support, the null
+    phone being 0. A model that holds counts writes them; any other writes
+    each table's probabilities as their ``repr``.
     """
     q = model.quantization
     index = _index_for(model.alphabet)
-    records, full = index.records, index.support.targets
-    tables = []
+    position, full = index.positions, index.support.targets
+    rows = []
     for key in sorted(model.tables, key=CondKey.sort_key):
+        context = ",".join([str(position[c]) for c in key.context])
+        head = f"[{_VALUES[key.unit]},{_VALUES[key.stress]},[{context}],"
+        if model.counts:  # the counted targets in canonical order, each with its count
+            c = model.counts[key]
+            pairs = ",".join([f"{position[t]},{c[t]}" for t in sorted(c, key=position.__getitem__)])
+            rows.append(f"{head}[{pairs}]]")
+            continue
         d = model.tables[key]  # as stored: the transform stack is saved on its own
-        context = ",".join(map(records.__getitem__, key.context))
         if d.support() == full:  # the exceptions, in canonical order, and the floor
             probs = d.exceptions
-            listed = sorted(probs, key=index.positions.__getitem__)
-            floor = f',"floor":"{d.floor!r}"'
+            listed = sorted(probs, key=position.__getitem__)
+            floor = f',"{d.floor!r}"'
         else:  # the whole support
             probs, listed, floor = dict(d.entries), d.support(), ""
         # a number's repr needs no JSON escaping
-        pairs = ",".join([f'[{records[t]},"{probs[t]!r}"]' for t in listed])
-        tables.append(f'{{"key":{{"unit":{_VALUES[key.unit]},"stress":{_VALUES[key.stress]},'
-                      f'"context":[{context}]}},"dist":[{pairs}]{floor}}}')
+        pairs = ",".join([f'{position[t]},"{probs[t]!r}"' for t in listed])
+        rows.append(f"{head}[{pairs}]{floor}]")
     doc = {
-        "format": STACK_FORMAT_VERSION if model.transforms else FORMAT_VERSION,
+        "format": FORMAT_VERSION,
         "alphabet_version": model.alphabet.version,
+        "support": index.digest,
         "epsilon": repr(model.epsilon),
         "alpha": repr(model.alpha),
         # float fields as repr strings (exact round trip), integer fields as JSON integers
         "quantization": {f.name: repr(getattr(q, f.name)) if type(f.default) is float
                          else getattr(q, f.name) for f in fields(q)},
         "limits": model.limits.to_json(),
+        "rows": "counts" if model.counts else "probabilities",
     }
     if model.transforms:  # in stack order, applied first to last
         doc["transforms"] = [t.to_json() for t in model.transforms]
     header = _dumps(doc)
     # the tables are the document's last field
-    return f'{header[:-1]},"tables":[{",".join(tables)}]}}'
+    return f'{header[:-1]},"tables":[{",".join(rows)}]}}'
 
 
 def save_model(model: LanguageModel, destination) -> None:
     """Canonical single-line JSON document (byte-stable round trips).
 
-    The stored tables are written as they are, untransformed. A model
-    carrying lazy transforms also writes its stack, and ``load_model``
-    rebuilds it, so the reloaded model applies the stack lazily to every
-    lookup, stored or not, as the saved one did.
+    The stored tables are written as they are, untransformed, or as the
+    counts they were smoothed from. A model carrying lazy transforms also
+    writes its stack, and ``load_model`` rebuilds it, so the reloaded model
+    applies the stack lazily to every lookup, stored or not, as the saved
+    one did.
     """
     text = model_to_json(model) + "\n"  # built first, so a failure leaves the file as it was
     with open_text(destination, "w") as fh:
@@ -927,59 +953,126 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
     if obj.get("alphabet_version") != alphabet.version:
         raise AlphabetMismatchError(
             f"model expects alphabet {obj.get('alphabet_version')!r}, got {alphabet.version!r}")
+    index = _index_for(alphabet)
+    # a position names whatever cell the alphabet holds there, so the cells must be the same
+    if obj["format"] == FORMAT_VERSION and obj.get("support") != index.digest:
+        raise AlphabetMismatchError(f"model indexes other cells than alphabet {alphabet.version!r}")
     try:
-        epsilon = float(obj["epsilon"])
-        alpha = float(obj["alpha"])
+        # alpha is checked before the counts are smoothed with it
+        epsilon, alpha = _smoothing(float(obj["epsilon"]), float(obj["alpha"]))
         qj = obj["quantization"]
         quantization = QuantizationConfig(**{
             f.name: float(qj[f.name]) if type(f.default) is float else qj[f.name]
             for f in fields(QuantizationConfig)})
         limits = ProsodicLimits.from_json(obj["limits"])
-        index = _index_for(alphabet)
-        full, targets = index.support, index.targets
-        tables: Dict[CondKey, CategoricalDist] = {}
-        units = {u.value: u for u in Unit}
-        stresses = {c.value: c for c in StressClass}
-
-        def decode(obj) -> Target:
-            try:
-                return targets[tuple(obj.items())]
-            except (AttributeError, TypeError, KeyError):  # not a dict, unhashable, not canonical
-                return _target_from_json(obj, alphabet)
-
-        for entry in obj["tables"]:
-            kj = entry["key"]
-            key = CondKey(
-                units[kj["unit"]], stresses[kj["stress"]], tuple(map(decode, kj["context"])))
-            if key in tables:
-                raise ModelFormatError(f"duplicate key {key!r}")
-            listed = [(decode(t), float(p)) for t, p in entry["dist"]]
-            # a floor implies the full support; so does a (version 1) listing of every target
-            full_support = "floor" in entry or len(listed) == len(full.targets)
-            tables[key] = CategoricalDist(listed, full if full_support else None,
-                                          float(entry.get("floor", 0.0)))
+        if obj["format"] == FORMAT_VERSION:
+            tables, counts = _read_rows(obj, index, alpha)
+        else:
+            tables, counts = _read_records(obj["tables"], index, alphabet), {}
     except ModelFormatError:
         raise
+    except ModelError as exc:  # a bad epsilon or alpha is a bad file
+        raise ModelFormatError(str(exc)) from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from None
     try:
         model = LanguageModel(alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
-                              limits=limits, quantization=quantization)
-    except ModelError as exc:  # a bad epsilon or alpha is a bad file
+                              limits=limits, quantization=quantization, counts=counts)
+    except ModelError as exc:
         raise ModelFormatError(str(exc)) from None
     return _with_stack(model, obj)
 
 
+def _read_rows(obj: dict, index: _AdmissibilityIndex, alpha: float):
+    """A version-4 document's tables, and the counts they are smoothed from when it holds counts."""
+    kind = obj["rows"]
+    if kind not in ("counts", "probabilities"):
+        raise ModelFormatError(f'"rows" must be "counts" or "probabilities", got {kind!r}')
+    lengths = (4,) if kind == "counts" else (4, 5)  # a probability row may end with its floor
+    support = index.support
+    targets = support.targets
+    tables: Dict[CondKey, CategoricalDist] = {}
+    counts: Dict[CondKey, Dict[Target, int]] = {}
+    for i, row in enumerate(obj["tables"], start=1):
+        def fail(what: str) -> ModelFormatError:
+            return ModelFormatError(f"table row {i}: {what}")
+
+        def cell(pos) -> Target:
+            if type(pos) is not int or not 0 <= pos < len(targets):  # bool is an int subclass
+                raise fail(f"position {pos!r} is not an integer in [0, {len(targets)})")
+            return targets[pos]
+
+        if type(row) is not list or len(row) not in lengths:
+            raise fail(f"a row of {kind} is [unit, stress, context, values]"
+                       + (" and an optional floor" if kind == "probabilities" else ""))
+        unit, stress, context, listed, *floor = row
+        if type(context) is not list or type(listed) is not list or len(listed) % 2:
+            raise fail("expected a context list and a list of position, value pairs")
+        key = CondKey(_UNITS[unit], _STRESSES[stress], tuple(map(cell, context)))
+        if key in tables:
+            raise ModelFormatError(f"duplicate key {key!r}")
+        listed_at, values = list(map(cell, listed[::2])), listed[1::2]
+        if len(set(listed_at)) != len(listed_at):
+            dup = next(p for p, n in Counter(listed[::2]).items() if n > 1)
+            raise fail(f"position {dup} listed twice")
+        if kind == "probabilities":
+            full = bool(floor) or len(listed_at) == len(targets)
+            tables[key] = CategoricalDist(zip(listed_at, map(float, values)),
+                                          support if full else None, float(floor[0]) if floor else 0.0)
+            continue
+        if not values:  # with alpha 0 it would divide by zero
+            raise fail("a count row lists no target")
+        for n in values:
+            if type(n) is not int or n < 1:
+                raise fail(f"count {n!r} is not a positive integer")
+        c = counts[key] = dict(zip(listed_at, values))
+        try:
+            tables[key] = _smoothed(c, alpha, support)
+        except OverflowError:
+            raise fail("counts too large for a float") from None
+    return tables, counts
+
+
+def _read_records(entries, index: _AdmissibilityIndex, alphabet: Alphabet) -> Dict[CondKey, CategoricalDist]:
+    """A version 1-3 document's tables, each cell named by its record."""
+    full, targets = index.support, index.targets
+    tables: Dict[CondKey, CategoricalDist] = {}
+
+    def decode(obj) -> Target:
+        try:
+            return targets[tuple(obj.items())]
+        except (AttributeError, TypeError, KeyError):  # not a dict, unhashable, not canonical
+            return _target_from_json(obj, alphabet)
+
+    for entry in entries:
+        kj = entry["key"]
+        key = CondKey(_UNITS[kj["unit"]], _STRESSES[kj["stress"]], tuple(map(decode, kj["context"])))
+        if key in tables:
+            raise ModelFormatError(f"duplicate key {key!r}")
+        listed = [(decode(t), float(p)) for t, p in entry["dist"]]
+        # a floor implies the full support; so does a (version 1) listing of every target
+        full_support = "floor" in entry or len(listed) == len(full.targets)
+        tables[key] = CategoricalDist(listed, full if full_support else None,
+                                      float(entry.get("floor", 0.0)))
+    return tables
+
+
 def _with_stack(model: LanguageModel, obj: dict) -> LanguageModel:
-    """The model with the document's transform stack, which only a version-3 document holds."""
-    stack = obj.get("transforms")
-    if obj["format"] != STACK_FORMAT_VERSION:
+    """The model with the document's transform stack.
+
+    A version-4 document may hold one, a version-3 document must, and a
+    version-1 or version-2 document may not.
+    """
+    stack, version = obj.get("transforms"), obj["format"]
+    if version in (_V1, _V2):
         if stack is not None:
-            raise ModelFormatError(f"a transform stack needs format {STACK_FORMAT_VERSION!r}")
+            raise ModelFormatError(f"a transform stack needs format {_V3!r} or {FORMAT_VERSION!r}")
+        return model
+    if stack is None and version == FORMAT_VERSION:
         return model
     from .variation import AppliedTransform, apply  # variation imports this module
     if type(stack) is not list or not stack:
-        raise ModelFormatError("a version-3 document needs a nonempty \"transforms\" list")
+        raise ModelFormatError(f'a {version!r} document\'s "transforms" must be a nonempty list')
     for i, entry in enumerate(stack, start=1):
         try:
             t = AppliedTransform.from_json(entry)

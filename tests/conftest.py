@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from phonospace import (
+    CondKey,
     Manner,
     Marker,
     Phone,
@@ -10,6 +14,7 @@ from phonospace import (
     load_alphabet,
     string_violations,
 )
+from phonospace.alphabet import marker_to_record
 
 # 10-marker restricted alphabet used by the oracle and recovery experiments
 MINI_TABLE = """\
@@ -110,3 +115,41 @@ def legal_plans(rng, alphabet, n=300, max_len=14, max_syllables=6):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+def reference_json(model) -> str:
+    """A version-2 document of the model (version 3 with its transform stack), as ``json.dumps`` text.
+
+    This is the serializer that wrote formats 2 and 3, one JSON object per
+    table entry with every cell named by its attribute record. The library
+    reads those formats but writes only format 4, so tests that feed the
+    legacy reader a document, intact or mutated, take it from here.
+    """
+    def record(t):
+        return {"null": True} if t is None else marker_to_record(t)
+
+    full = (None, *model.alphabet)  # every cell plus the null phone, in canonical order
+    tables = []
+    for key in sorted(model.tables, key=CondKey.sort_key):
+        d = model.tables[key]
+        entry = {"key": {"unit": key.unit.value, "stress": key.stress.value,
+                         "context": [record(t) for t in key.context]}}
+        if d.support() == full:
+            entry["dist"] = [[record(t), repr(p)] for t, p in d.entries if t in d.exceptions]
+            entry["floor"] = repr(d.floor)
+        else:
+            entry["dist"] = [[record(t), repr(p)] for t, p in d.entries]
+        tables.append(entry)
+    doc = {
+        "format": "phonospace-model-3" if model.transforms else "phonospace-model-2",
+        "alphabet_version": model.alphabet.version,
+        "epsilon": repr(model.epsilon),
+        "alpha": repr(model.alpha),
+        "quantization": {name: repr(v) if type(v) is float else v
+                         for name, v in dataclasses.asdict(model.quantization).items()},
+        "limits": model.limits.to_json(),
+    }
+    if model.transforms:
+        doc["transforms"] = [t.to_json() for t in model.transforms]
+    doc["tables"] = tables
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)

@@ -41,7 +41,7 @@ from phonospace import (
 from phonospace.model import (
     AlphabetMismatchError, ModelError, ModelFormatError, LanguageModel, model_to_json)
 from phonospace.prng import Pcg64
-from conftest import random_prosody, random_valid_string
+from conftest import random_prosody, random_valid_string, reference_json
 from oracle import oracle_score
 
 S, U = StressClass.STRESSED, StressClass.UNSTRESSED
@@ -364,11 +364,15 @@ class TestSerialization:
         m = generic_model(mini_alphabet, epsilon=0.1)
         buf = io.StringIO()
         save_model(m, buf)
-        text = buf.getvalue().replace('"tables":[]',
+        # one row over a support of the null phone alone, which it gives 0.9
+        text = buf.getvalue().replace('"tables":[]', '"tables":[["onset","stressed",[0],[0,"0.9"]]]')
+        with pytest.raises(ModelFormatError, match="non-normalized"):
+            load_model(text, mini_alphabet)
+        legacy = reference_json(m).replace('"tables":[]',
             '"tables":[{"key":{"unit":"onset","stress":"stressed","context":[{"null":true}]},'
             '"dist":[[{"null":true},"0.9"]]}]')
         with pytest.raises(ModelFormatError, match="non-normalized"):
-            load_model(text, mini_alphabet)
+            load_model(legacy, mini_alphabet)
 
     def test_version_mismatch(self, mini_alphabet, alphabet):
         m = generic_model(mini_alphabet, epsilon=0.1)
@@ -385,9 +389,8 @@ class TestSerialization:
         # UnknownSymbolError is a KeyError; it was reported as a missing field
         import json
         mm = mini_markers(mini_alphabet)
-        buf = io.StringIO()
-        save_model(train([[ph(mm["Q"]), ph(mm["i"]), ph(mm["Q"])]], alphabet=mini_alphabet), buf)
-        doc = json.loads(buf.getvalue())
+        doc = json.loads(reference_json(
+            train([[ph(mm["Q"]), ph(mm["i"]), ph(mm["Q"])]], alphabet=mini_alphabet)))
         ctx = next(c for t in doc["tables"] for c in t["key"]["context"] if not c.get("null"))
         ctx["m"] = "clossure"
         with pytest.raises(ModelFormatError, match="unknown attribute name 'clossure'") as info:
@@ -541,18 +544,19 @@ class TestFloorForm:
 
 
 class TestFormatV2:
+    """The version-2 reader, fed by the test-side writer of that format, and probability rows."""
+
     def test_entries_list_exceptions_with_a_floor(self, alphabet, rng):
         import json
         corpus = [random_valid_string(rng, alphabet, max_len=10) for _ in range(10)]
         m = train(corpus, alpha=0.01, alphabet=alphabet)
-        buf = io.StringIO()
-        save_model(m, buf)
-        doc = json.loads(buf.getvalue())
+        text = reference_json(m)
+        doc = json.loads(text)
         assert doc["format"] == "phonospace-model-2"
         for entry in doc["tables"]:
             assert set(entry) == {"key", "dist", "floor"}
             assert len(entry["dist"]) < len(alphabet) // 2
-        assert load_model(buf.getvalue(), alphabet).tables == m.tables
+        assert load_model(text, alphabet).tables == m.tables
 
     def test_partial_support_saved_dense(self, mini_alphabet):
         mm = mini_markers(mini_alphabet)
@@ -562,7 +566,11 @@ class TestFormatV2:
                           limits=ProsodicLimits.full())
         buf = io.StringIO()
         save_model(m, buf)
-        assert '"floor"' not in buf.getvalue()
+        # a row without a floor, listing the null phone and n by their positions
+        from phonospace.model import _index_for
+        pos = _index_for(mini_alphabet).positions
+        row = f'["rhyme","stressed",[{pos[mm["i"]]}],[0,"0.25",{pos[mm["n"]]},"0.75"]]'
+        assert f'"rows":"probabilities","tables":[{row}]' in buf.getvalue()
         loaded = load_model(buf.getvalue(), mini_alphabet).tables[key]
         assert loaded == d and loaded.support() == d.support()
 
@@ -601,9 +609,7 @@ class TestFormatV2:
     def test_bad_floor_rejected(self, mini_alphabet):
         mm = mini_markers(mini_alphabet)
         m = train([[ph(mm["Q"]), ph(mm["i"]), ph(mm["Q"])]], alpha=0.01, alphabet=mini_alphabet)
-        buf = io.StringIO()
-        save_model(m, buf)
-        text = buf.getvalue()
+        text = reference_json(m)
         floor = m.tables[next(iter(m.tables))].floor
         with pytest.raises(ModelFormatError, match="negative"):
             load_model(text.replace(f'"floor":"{floor!r}"', f'"floor":"{-floor!r}"', 1),
@@ -684,11 +690,12 @@ class TestNonFinite:
         m = train([[ph(mm["Q"]), ph(mm["i"]), ph(mm["Q"])]], alpha=0.01, alphabet=mini_alphabet)
         buf = io.StringIO()
         save_model(m, buf)
-        text = buf.getvalue()
         floor = m.tables[next(iter(m.tables))].floor
-        for bad in (text.replace('"alpha":"0.01"', '"alpha":"nan"'),
-                    text.replace('"alpha":"0.01"', '"alpha":"inf"'),
-                    text.replace(f'"floor":"{floor!r}"', '"floor":"nan"', 1)):
+        legacy = reference_json(m)  # a trained model's floors are written only by formats 1-3
+        cases = [(text, text.replace('"alpha":"0.01"', f'"alpha":"{value}"'))
+                 for text in (buf.getvalue(), legacy) for value in ("nan", "inf")]
+        cases.append((legacy, legacy.replace(f'"floor":"{floor!r}"', '"floor":"nan"', 1)))
+        for text, bad in cases:
             assert bad != text
             with pytest.raises(ModelFormatError):
                 load_model(bad, mini_alphabet)

@@ -1,14 +1,16 @@
 """sha256 of ``save_model`` output, pinned so the serializer can change but its bytes cannot.
 
-The untransformed digests were taken from the serializer that built one
-JSON object per table entry and encoded the whole document with
-``json.dumps``. A varied model is saved as its untransformed tables plus
-its transform stack (format 3), so the ``straightened`` and
+Format 4 names every cell by its position in the alphabet's support, and
+a trained model is saved as its counts. A varied model is saved as its
+source plus its transform stack, so the ``straightened`` and
 ``syncopated`` documents are the ``trained`` one with a ``"transforms"``
 field before its tables.
+
+``tests/data`` holds the ``trained`` and ``straightened`` documents as the
+format-2 and format-3 writer saved them (``LEGACY``), so the legacy reader
+is checked on bytes that writer made.
 """
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -32,18 +34,29 @@ from phonospace import (
     load_alphabet,
     load_model,
     save_model,
+    score,
     train,
 )
-from phonospace.alphabet import marker_to_record
 from phonospace.model import _index_for, model_to_json
-from conftest import MINI_TABLE, random_valid_string
+from conftest import MINI_TABLE, random_valid_string, reference_json
 
 DIGESTS = {
-    "trained": "c46ca0c574d48b4f150e090ec94d4e63f6bb94ab7446217683519c68cbc64162",
-    "straightened": "e69227d2a2077bc5360c8149c7686744950946f6f19cf231ce9e01b939456abd",
-    "syncopated": "c73a2a1e374fb32c4fb28adc77d1ccf773483095eda9c36fc2252c40369eb26f",
-    "v1_resaved": "c269140e6ae806ed42f125f313d2be3403f960c8cccbb66711f511c2e3355be1",
-    "partial_support": "befb200fac5ecd4e93e4135fa6269bf66bcf55792cb8338d2cf5cc6f9eea85da",
+    "trained": "35b5b1a26e23e9395b3c4889f2552b461e049f8ec15ec6f31d3364b0061082ee",
+    "straightened": "469ffe8ebf7c440799138fe97a0cc07c98c8151269a358e6cb7a88c2814f5bc9",
+    "syncopated": "39f52eea61bd39b9d3f71412a997020a5e719c78d904d4fc5ad4cc0373d0c0f2",
+    "v1_resaved": "e2c65ae97738a0b5ca3f843cfe93dd866dccfe3be29ec0f9cd78725c0af66fe0",
+    "partial_support": "416f644326074093eae6601376609fd5a98127bcaab1ba6f1cd5d9f97ab5fef9",
+    # the LEGACY files, loaded and saved again: format 4 with probability rows
+    "trained_v2_resaved": "8ef6c4887dd549c4af063c0057642a990f7d168e2b0b4b608f0d08306ca9c144",
+    "straightened_v3_resaved": "38a97da060edd13d9cd1b361ac680534c7885abb49ad48e51daff44bc72b84c0",
+}
+
+DATA = Path(__file__).parent / "data"
+# per model: its file under tests/data, and that file's sha256, the digest its writer gave it
+LEGACY = {
+    "trained": ("trained_v2.json", "c46ca0c574d48b4f150e090ec94d4e63f6bb94ab7446217683519c68cbc64162"),
+    "straightened": ("straightened_v3.json",
+                     "e69227d2a2077bc5360c8149c7686744950946f6f19cf231ce9e01b939456abd"),
 }
 
 
@@ -60,13 +73,16 @@ def trained(alphabet):
                  alphabet=alphabet)
 
 
+def straightened(trained):
+    return apply(trained, Regime(rate=2.0), TransformSpec(TransformKind.STRAIGHTENING, 0.5))
+
+
 def test_trained(trained):
     assert digest(trained) == DIGESTS["trained"]
 
 
 def test_straightened(trained):
-    spec = TransformSpec(TransformKind.STRAIGHTENING, 0.5)
-    assert digest(apply(trained, Regime(rate=2.0), spec)) == DIGESTS["straightened"]
+    assert digest(straightened(trained)) == DIGESTS["straightened"]
 
 
 def test_syncopated(trained):
@@ -75,7 +91,7 @@ def test_syncopated(trained):
 
 
 def test_version_one_fixture_resaved(mini_alphabet):
-    path = Path(__file__).parent / "data" / "mini_model_v1.json"
+    path = DATA / "mini_model_v1.json"
     assert digest(load_model(str(path), mini_alphabet)) == DIGESTS["v1_resaved"]
 
 
@@ -89,42 +105,39 @@ def test_partial_support_saved_dense(alphabet):
     assert digest(model) == DIGESTS["partial_support"]
 
 
-def reference_json(model) -> str:
-    """``json.dumps`` of the document object, as the serializer the digests came from built it.
-
-    Only for a model without a transform stack.
-    """
-    def record(t):
-        return {"null": True} if t is None else marker_to_record(t)
-
-    full = (None, *model.alphabet)  # every cell plus the null phone, in canonical order
-    tables = []
-    for key in sorted(model.tables, key=CondKey.sort_key):
-        d = model.tables[key]
-        entry = {"key": {"unit": key.unit.value, "stress": key.stress.value,
-                         "context": [record(t) for t in key.context]}}
-        if d.support() == full:
-            entry["dist"] = [[record(t), repr(p)] for t, p in d.entries if t in d.exceptions]
-            entry["floor"] = repr(d.floor)
-        else:
-            entry["dist"] = [[record(t), repr(p)] for t, p in d.entries]
-        tables.append(entry)
-    doc = {
-        "format": "phonospace-model-2",
-        "alphabet_version": model.alphabet.version,
-        "epsilon": repr(model.epsilon),
-        "alpha": repr(model.alpha),
-        "quantization": {name: repr(v) if type(v) is float else v
-                         for name, v in dataclasses.asdict(model.quantization).items()},
-        "limits": model.limits.to_json(),
-        "tables": tables,
-    }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
-
-
 def test_reference_serializer_gives_the_trained_digest(trained):
     text = reference_json(trained) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS["trained"]
+    assert hashlib.sha256(text.encode()).hexdigest() == LEGACY["trained"][1]
+
+
+@pytest.fixture(scope="module")
+def models(trained):
+    return {"trained": trained, "straightened": straightened(trained)}
+
+
+@pytest.mark.parametrize("name", list(LEGACY))
+class TestLegacyFiles:
+    def test_file_is_what_the_legacy_writer_wrote(self, models, name):
+        file, sha = LEGACY[name]
+        data = (DATA / file).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha
+        assert data.decode() == reference_json(models[name]) + "\n"
+
+    def test_loads_as_the_format_4_reload(self, alphabet, models, name):
+        old = load_model(str(DATA / LEGACY[name][0]), alphabet)
+        new = load_model(model_to_json(models[name]), alphabet)
+        assert old.tables.keys() == new.tables.keys()
+        for key, d in new.tables.items():
+            assert old.tables[key] == d and old.tables[key].entries == d.entries, key
+        assert (old.limits, old.transforms) == (new.limits, new.transforms)
+        assert (old.epsilon, old.alpha, old.quantization) == (new.epsilon, new.alpha, new.quantization)
+        rng = np.random.default_rng(8)
+        heldout = [random_valid_string(rng, alphabet, max_len=14) for _ in range(40)]
+        assert [repr(score(old, s)) for s in heldout] == [repr(score(new, s)) for s in heldout]
+
+    def test_resaved_as_format_4(self, alphabet, name):
+        path = DATA / LEGACY[name][0]
+        assert digest(load_model(str(path), alphabet)) == DIGESTS[f"{path.stem}_resaved"]
 
 
 def test_signed_zeros_and_integer_probabilities(alphabet):
@@ -144,13 +157,17 @@ def test_signed_zeros_and_integer_probabilities(alphabet):
                           limits=ProsodicLimits.full())
     assert [d.exceptions for d in dists[:2]] == [{None: 0.5, cells[0]: 0.0, cells[1]: -0.0}, {None: 1}]
     text = model_to_json(model)
-    assert text == reference_json(model)
-    assert '"-0.0"' in text and '[{"null":true},"1"]' in text
+    # the null phone is position 0; the second dist has a floor, the fourth lists its support
+    assert '"-0.0"' in text and '[0,"1"],"0.0"]' in text and '[0,"1"]]' in text
+    # the legacy writer wrote the same probability texts
+    resaved = model_to_json(load_model(text, alphabet))
+    assert model_to_json(load_model(reference_json(model), alphabet)) == resaved
 
 
 def test_records_in_another_key_order_load_alike(trained, alphabet):
-    text = model_to_json(trained)
-    doc = json.loads(text)
+    legacy = reference_json(trained)
+    text = model_to_json(load_model(legacy, alphabet))
+    doc = json.loads(legacy)
 
     def reorder(record):
         return dict(reversed(record.items()))
@@ -163,14 +180,15 @@ def test_records_in_another_key_order_load_alike(trained, alphabet):
     assert model_to_json(load_model(reordered, alphabet)) == text
 
 
-def test_load_builds_no_record_text():
-    # a verb that only loads reads records through the table of their items alone
+def test_format_4_load_builds_no_record_table():
+    # a position indexes the support itself: only a version 1-3 document needs the records
     rng = np.random.default_rng(3)
     writer, reader = load_alphabet(MINI_TABLE), load_alphabet(MINI_TABLE)
     text = model_to_json(train([random_valid_string(rng, writer, max_len=14) for _ in range(5)],
                                alphabet=writer))
     model = load_model(text, reader)
     index = _index_for(reader)
-    assert "targets" in vars(index) and "records" not in vars(index)
+    assert "digest" in vars(index) and "targets" not in vars(index)
     assert model_to_json(model) == text
-    assert "records" in vars(index)
+    load_model(reference_json(model), reader)
+    assert "targets" in vars(index)
