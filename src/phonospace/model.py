@@ -17,11 +17,11 @@ dependency order from the same conditionals.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
 import sys
+import zlib
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -455,8 +455,12 @@ class _AdmissibilityIndex:
 
     @cached_property
     def digest(self) -> str:
-        """sha256 of the support's records in canonical order: what a position refers to."""
-        return hashlib.sha256(_dumps([_record(t) for t in self.support.targets]).encode()).hexdigest()
+        """CRC-32 of the support's records in canonical order: the cells the positions name.
+
+        A checksum, not hashlib's sha256: importing hashlib maps OpenSSL, 3.5 MB
+        of resident memory in every process that loads or saves a model.
+        """
+        return f"{zlib.crc32(_dumps([_record(t) for t in self.support.targets]).encode()):08x}"
 
 
 # weak keys: an index lives exactly as long as its alphabet
@@ -906,7 +910,7 @@ def model_to_json(model: LanguageModel) -> str:
     doc = {
         "format": FORMAT_VERSION,
         "alphabet_version": model.alphabet.version,
-        "support": index.digest,
+        "support_crc32": index.digest,
         "epsilon": repr(model.epsilon),
         "alpha": repr(model.alpha),
         # float fields as repr strings (exact round trip), integer fields as JSON integers
@@ -955,7 +959,7 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
             f"model expects alphabet {obj.get('alphabet_version')!r}, got {alphabet.version!r}")
     index = _index_for(alphabet)
     # a position names whatever cell the alphabet holds there, so the cells must be the same
-    if obj["format"] == FORMAT_VERSION and obj.get("support") != index.digest:
+    if obj["format"] == FORMAT_VERSION and obj.get("support_crc32") != index.digest:
         raise AlphabetMismatchError(f"model indexes other cells than alphabet {alphabet.version!r}")
     try:
         # alpha is checked before the counts are smoothed with it
@@ -1015,10 +1019,9 @@ def _read_rows(obj: dict, index: _AdmissibilityIndex, alpha: float):
         if len(set(listed_at)) != len(listed_at):
             dup = next(p for p, n in Counter(listed[::2]).items() if n > 1)
             raise fail(f"position {dup} listed twice")
-        if kind == "probabilities":
-            full = bool(floor) or len(listed_at) == len(targets)
+        if kind == "probabilities":  # a row without a floor lists its whole support
             tables[key] = CategoricalDist(zip(listed_at, map(float, values)),
-                                          support if full else None, float(floor[0]) if floor else 0.0)
+                                          support if floor else None, float(floor[0]) if floor else 0.0)
             continue
         if not values:  # with alpha 0 it would divide by zero
             raise fail("a count row lists no target")

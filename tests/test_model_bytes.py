@@ -41,14 +41,14 @@ from phonospace.model import _index_for, model_to_json
 from conftest import MINI_TABLE, random_valid_string, reference_json
 
 DIGESTS = {
-    "trained": "35b5b1a26e23e9395b3c4889f2552b461e049f8ec15ec6f31d3364b0061082ee",
-    "straightened": "469ffe8ebf7c440799138fe97a0cc07c98c8151269a358e6cb7a88c2814f5bc9",
-    "syncopated": "39f52eea61bd39b9d3f71412a997020a5e719c78d904d4fc5ad4cc0373d0c0f2",
-    "v1_resaved": "e2c65ae97738a0b5ca3f843cfe93dd866dccfe3be29ec0f9cd78725c0af66fe0",
-    "partial_support": "416f644326074093eae6601376609fd5a98127bcaab1ba6f1cd5d9f97ab5fef9",
+    "trained": "297526c5910d4dd8cd73018157addf5b3c46e1b55bef36154808a5ea39d72650",
+    "straightened": "39c19c659ba0b4e267203cdee4593911f4a3b6ab2dd0e5f947e47b004d830285",
+    "syncopated": "d1af88e480ca9510226263988d2c82d5978829a79beb5d447b862073cb80d5c8",
+    "v1_resaved": "4b739277ebdeb38504bc9ae6b0ff19b1044383f8536cf9eab587381de4430aca",
+    "partial_support": "196aa714efc281ff9c27524477c1155c574ad43252daee8fac3f9375da90d5d3",
     # the LEGACY files, loaded and saved again: format 4 with probability rows
-    "trained_v2_resaved": "8ef6c4887dd549c4af063c0057642a990f7d168e2b0b4b608f0d08306ca9c144",
-    "straightened_v3_resaved": "38a97da060edd13d9cd1b361ac680534c7885abb49ad48e51daff44bc72b84c0",
+    "trained_v2_resaved": "e3cf3bcdb09f9fb7dc48f647ab44ddc109542fc3f64a7a65339639ab4aedba3c",
+    "straightened_v3_resaved": "f839a02515485ffb9c2b75e9c50a6da22fdfdf27071b9108499d8fd97ddc6ee5",
 }
 
 DATA = Path(__file__).parent / "data"

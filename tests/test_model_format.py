@@ -31,20 +31,13 @@ from phonospace import (
 )
 from phonospace.model import AlphabetMismatchError, ModelError, ModelFormatError, model_to_json
 from conftest import MINI_TABLE, random_valid_string
-from test_cli import run
+from test_cli import mini_path, run  # noqa: F401 (mini_path is a fixture)
 
 
 def trained_on(alphabet, seed=11, n=30, alpha=0.01):
     rng = np.random.default_rng(seed)
     return train([random_valid_string(rng, alphabet, max_len=14, prosody_span=4) for _ in range(n)],
                  alpha=alpha, alphabet=alphabet)
-
-
-@pytest.fixture()
-def mini_path(tmp_path):
-    p = tmp_path / "mini.tsv"
-    p.write_text(MINI_TABLE, encoding="utf-8")
-    return str(p)
 
 
 class TestRoundTripAcrossAlpha:
@@ -84,15 +77,6 @@ def test_counted_keys_must_be_the_stored_keys(mini_alphabet):
     with pytest.raises(ModelError, match="counted keys"):
         LanguageModel(mini_alphabet, model.tables, 0.05, 0.01, model.limits,
                       counts={k: c for k, c in model.counts.items() if k != key})
-
-
-def test_transformed_model_saves_its_counts(mini_alphabet):
-    model = trained_on(mini_alphabet)
-    varied = apply(model, Regime(rate=2.0), TransformSpec(TransformKind.SYNCOPE, 0.5))
-    doc = json.loads(model_to_json(varied))
-    assert doc["rows"] == "counts" and list(doc)[-2:] == ["transforms", "tables"]
-    assert doc.pop("transforms") == [t.to_json() for t in varied.transforms]
-    assert json.dumps(doc, separators=(",", ":")) == model_to_json(model)
 
 
 def set_listed(index, value):
@@ -153,10 +137,10 @@ class TestSupportDigest:
         assert (code, out) == (1, "") and "other cells" in err
         assert run(["--alphabet", mini_path, "info", "--model", str(model_path)])[0] == 0
 
-    @pytest.mark.parametrize("digest", ["0" * 64, None, 7])
+    @pytest.mark.parametrize("digest", ["00000000", None, 7])
     def test_differing_digest_rejected(self, mini_alphabet, digest):
         doc = json.loads(model_to_json(trained_on(mini_alphabet, n=5)))
-        doc["support"] = digest
+        doc["support_crc32"] = digest
         with pytest.raises(AlphabetMismatchError):
             load_model(json.dumps(doc), mini_alphabet)
 
