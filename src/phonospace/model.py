@@ -575,16 +575,25 @@ def factor_key(s: PhoneString, factor: Factor) -> Tuple[CondKey, Marker]:
     return CondKey(factor.unit, factor.stress, ctx), s.phones[factor.target].marker
 
 
+def plan_factors(phones: Iterable[Phone], alphabet: Optional[Alphabet],
+                 weights: StressWeights = StressWeights(), cfg: QuantizationConfig = DEFAULT_QUANTIZATION):
+    """(collapsed string, stress classes, lazy (key, target) pairs of its plan): the one factor walk.
+
+    ``score`` charges the pairs and ``train`` counts them. The string is validated at the call.
+    """
+    collapsed, _parse, _scores, classes, plan = parse_and_plan(phones, alphabet, weights, cfg)
+    return collapsed, classes, (factor_key(collapsed, f) for f in plan.factors)
+
+
 def score(model: LanguageModel, s, weights: StressWeights = StressWeights()) -> float:
     """Log-probability of a phone string as a product of conditionals.
 
     Returns -inf when any factor's target has zero probability or any
     prosodic value falls outside the model's limits.
     """
-    collapsed, *_, plan = parse_and_plan(s, model.alphabet, weights, model.quantization)
+    collapsed, _classes, pairs = plan_factors(s, model.alphabet, weights, model.quantization)
     logp = 0.0
-    for f in plan.factors:
-        key, target = factor_key(collapsed, f)
+    for key, target in pairs:
         p = model.dist(key).prob(target)
         if p <= 0.0:
             return float("-inf")
@@ -636,14 +645,13 @@ def train(
             phones = getattr(item, "phones", item)
             line = getattr(item, "line", None)
             try:
-                collapsed, *_, plan = parse_and_plan(phones, alphabet, weights, quantization)
+                collapsed, _classes, pairs = plan_factors(phones, alphabet, weights, quantization)
             except InvalidPhoneString as exc:
                 if skip_invalid:
                     continue
                 where = f"line {line}" if line is not None else f"string {index}"
                 raise TrainingError(f"invalid string at {where}: {exc}") from exc
-            for f in plan.factors:
-                key, target = factor_key(collapsed, f)
+            for key, target in pairs:
                 counts.setdefault(key, Counter())[target] += 1
             yield from (p.prosody for p in collapsed.phones)
         if not counts:  # a valid string's plan targets its boundary closures, so it has a factor
@@ -711,9 +719,12 @@ _VISIT = {StressClass.STRESSED: 0, StressClass.MIDDLING_LTR: 1,
           StressClass.MIDDLING_RTL: 2, StressClass.UNSTRESSED: 3}
 
 
-def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
-                     rng: Rng) -> Optional[List[Marker]]:
+def _realize_markers(model: LanguageModel, classes: Sequence[StressClass], rng: Rng
+                     ) -> Optional[Tuple[List[Marker], List[Tuple[CondKey, Target]]]]:
     """Realize one string's markers, one syllable at a time, or None when they cannot be.
+
+    Beside the markers it returns every (key, target) pair it drew, in
+    draw order, null draws included.
 
     Syllables are visited stressed first, then middling left-to-right ones
     from the left, middling right-to-left ones from the right, then
@@ -732,9 +743,13 @@ def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
     interiors: Dict[Tuple[Unit, int], List[Marker]] = {}
     nuclei: List[Optional[Marker]] = [None] * k
     closures = _index_for(model.alphabet).closures
+    drawn: List[Tuple[CondKey, Target]] = []
 
     def draw(unit, cls, ctx) -> Target:
-        return model.dist(CondKey(unit, cls, ctx)).sample(rng)
+        key = CondKey(unit, cls, ctx)
+        t = model.dist(key).sample(rng)
+        drawn.append((key, t))
+        return t
 
     def draw_marker(unit, cls, ctx) -> Optional[Marker]:
         # a null draw deletes the slot and redraws from the same context
@@ -792,7 +807,7 @@ def _realize_markers(model: LanguageModel, classes: Sequence[StressClass],
         markers.append(nuclei[i])
         markers.extend(interiors[Unit.RHYME, i + 1])
         markers.append(junctions[i + 1])
-    return markers
+    return markers, drawn
 
 
 def sample_with_rng(
@@ -808,13 +823,12 @@ def sample_with_rng(
         k = int(rng.integers(1, max_syllables + 1))
         options = legal_stress_sequences(k)
         classes = options[int(rng.integers(len(options)))]
-        markers = _realize_markers(model, classes, rng)
-        if markers is None:
+        realized = _realize_markers(model, classes, rng)
+        if realized is None:
             continue
-        phones = [Phone(m, model.limits.draw(rng)) for m in markers]
+        phones = [Phone(m, model.limits.draw(rng)) for m in realized[0]]
         try:
-            collapsed, _parse, _scores, got, _plan = parse_and_plan(
-                phones, model.alphabet, weights, model.quantization)
+            collapsed, got, _pairs = plan_factors(phones, model.alphabet, weights, model.quantization)
         except InvalidPhoneString:
             continue
         if got == list(classes):
@@ -973,17 +987,14 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
             tables, counts = _read_rows(obj, index, alpha)
         else:
             tables, counts = _read_records(obj["tables"], index, alphabet), {}
+        model = LanguageModel(alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
+                              limits=limits, quantization=quantization, counts=counts)
     except ModelFormatError:
         raise
-    except ModelError as exc:  # a bad epsilon or alpha is a bad file
+    except ModelError as exc:  # a bad epsilon, alpha or table is a bad file
         raise ModelFormatError(str(exc)) from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from None
-    try:
-        model = LanguageModel(alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
-                              limits=limits, quantization=quantization, counts=counts)
-    except ModelError as exc:
-        raise ModelFormatError(str(exc)) from None
     return _with_stack(model, obj)
 
 

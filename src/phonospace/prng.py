@@ -104,11 +104,8 @@ class Pcg64:
         return x & _M32
 
     def random(self) -> float:
-        """A double in [0, 1): ``next64() >> 11`` scaled, with the step inline."""
-        state = self._state = (self._state * _MULTIPLIER + self._inc) & _M128
-        x = ((state >> 64) ^ state) & _M64
-        rot = state >> 122
-        return ((((x >> rot) | (x << (64 - rot))) & _M64) >> 11) * (1.0 / 9007199254740992.0)
+        """A double in [0, 1) from the top 53 bits of one 64-bit draw."""
+        return (self.next64() >> 11) * (1.0 / 9007199254740992.0)
 
     def integers(self, low: int, high: Optional[int] = None) -> int:
         """An integer in [low, high), or in [0, low) when high is omitted."""
@@ -123,20 +120,9 @@ class Pcg64:
             return low
         if span <= _M32:
             # Lemire over 32-bit draws: the high word of draw * n, rejecting the low words
-            # below 2**32 % n (none when n is 2**32). The first draw is next32() inline, so
-            # an accepted one runs in this frame.
+            # below 2**32 % n (none when n is 2**32)
             n = span + 1
-            half = self._half
-            if half is None:
-                state = self._state = (self._state * _MULTIPLIER + self._inc) & _M128
-                x = ((state >> 64) ^ state) & _M64
-                rot = state >> 122
-                x = ((x >> rot) | (x << (64 - rot))) & _M64
-                self._half = x >> 32
-                m = (x & _M32) * n
-            else:
-                self._half = None
-                m = half * n
+            m = self.next32() * n
             if m & _M32 < n:
                 threshold = (_M32 - span) % n
                 while m & _M32 < threshold:
