@@ -444,11 +444,6 @@ class _AdmissibilityIndex:
     # each codec table is built on its first use, so a verb builds only the ones it reads
 
     @cached_property
-    def targets(self) -> Dict[tuple, Target]:
-        """Each support target, looked up by its record's items in canonical key order."""
-        return {tuple(_record(t).items()): t for t in self.support.targets}
-
-    @cached_property
     def positions(self) -> Dict[Target, int]:
         """Each support target's canonical position, by which a model file names it."""
         return {t: i for i, t in enumerate(self.support.targets)}
@@ -897,7 +892,7 @@ def model_to_json(model: LanguageModel) -> str:
     stored key is one row that names its unit and class by their values
     and every cell by its position in the alphabet's support, the null
     phone being 0. A model that holds counts writes them; any other writes
-    each table's probabilities as their ``repr``.
+    each table's probabilities as the ``repr`` of their ``float``.
     """
     q = model.quantization
     index = _index_for(model.alphabet)
@@ -915,11 +910,11 @@ def model_to_json(model: LanguageModel) -> str:
         if d.support() == full:  # the exceptions, in canonical order, and the floor
             probs = d.exceptions
             listed = sorted(probs, key=position.__getitem__)
-            floor = f',"{d.floor!r}"'
+            floor = f',"{float(d.floor)!r}"'
         else:  # the whole support
             probs, listed, floor = dict(d.entries), d.support(), ""
-        # a number's repr needs no JSON escaping
-        pairs = ",".join([f'{position[t]},"{probs[t]!r}"' for t in listed])
+        # a float's repr needs no JSON escaping and reads back as the same float
+        pairs = ",".join([f'{position[t]},"{float(probs[t])!r}"' for t in listed])
         rows.append(f"{head}[{pairs}]{floor}]")
     doc = {
         "format": FORMAT_VERSION,
@@ -984,9 +979,10 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
             for f in fields(QuantizationConfig)})
         limits = ProsodicLimits.from_json(obj["limits"])
         if obj["format"] == FORMAT_VERSION:
-            tables, counts = _read_rows(obj, index, alpha)
+            rows, kind = obj["tables"], obj["rows"]
         else:
-            tables, counts = _read_records(obj["tables"], index, alphabet), {}
+            rows, kind = _legacy_rows(obj["tables"], index, alphabet), "probabilities"
+        tables, counts = _read_rows(rows, kind, index, alpha)
         model = LanguageModel(alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
                               limits=limits, quantization=quantization, counts=counts)
     except ModelFormatError:
@@ -998,9 +994,8 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
     return _with_stack(model, obj)
 
 
-def _read_rows(obj: dict, index: _AdmissibilityIndex, alpha: float):
-    """A version-4 document's tables, and the counts they are smoothed from when it holds counts."""
-    kind = obj["rows"]
+def _read_rows(rows: Iterable[list], kind: str, index: _AdmissibilityIndex, alpha: float):
+    """Every document's tables, and the counts they are smoothed from when its rows hold counts."""
     if kind not in ("counts", "probabilities"):
         raise ModelFormatError(f'"rows" must be "counts" or "probabilities", got {kind!r}')
     lengths = (4,) if kind == "counts" else (4, 5)  # a probability row may end with its floor
@@ -1008,7 +1003,7 @@ def _read_rows(obj: dict, index: _AdmissibilityIndex, alpha: float):
     targets = support.targets
     tables: Dict[CondKey, CategoricalDist] = {}
     counts: Dict[CondKey, Dict[Target, int]] = {}
-    for i, row in enumerate(obj["tables"], start=1):
+    for i, row in enumerate(rows, start=1):
         def fail(what: str) -> ModelFormatError:
             return ModelFormatError(f"table row {i}: {what}")
 
@@ -1047,28 +1042,23 @@ def _read_rows(obj: dict, index: _AdmissibilityIndex, alpha: float):
     return tables, counts
 
 
-def _read_records(entries, index: _AdmissibilityIndex, alphabet: Alphabet) -> Dict[CondKey, CategoricalDist]:
-    """A version 1-3 document's tables, each cell named by its record."""
-    full, targets = index.support, index.targets
-    tables: Dict[CondKey, CategoricalDist] = {}
+def _legacy_rows(entries, index: _AdmissibilityIndex, alphabet: Alphabet) -> Iterator[list]:
+    """A version 1-3 document's entries, cells named by their records, as the probability rows they hold.
 
-    def decode(obj) -> Target:
-        try:
-            return targets[tuple(obj.items())]
-        except (AttributeError, TypeError, KeyError):  # not a dict, unhashable, not canonical
-            return _target_from_json(obj, alphabet)
+    An entry with a floor keeps it over the full support, as does a (version 1)
+    listing of every target, with floor 0; any other entry lists a partial support.
+    """
+    position, n = index.positions, len(index.support.targets)
+
+    def cell(obj) -> int:
+        return position[_target_from_json(obj, alphabet)]
 
     for entry in entries:
-        kj = entry["key"]
-        key = CondKey(_UNITS[kj["unit"]], _STRESSES[kj["stress"]], tuple(map(decode, kj["context"])))
-        if key in tables:
-            raise ModelFormatError(f"duplicate key {key!r}")
-        listed = [(decode(t), float(p)) for t, p in entry["dist"]]
-        # a floor implies the full support; so does a (version 1) listing of every target
-        full_support = "floor" in entry or len(listed) == len(full.targets)
-        tables[key] = CategoricalDist(listed, full if full_support else None,
-                                      float(entry.get("floor", 0.0)))
-    return tables
+        key = entry["key"]
+        context = [cell(r) for r in key["context"]]
+        listed = [v for t, p in entry["dist"] for v in (cell(t), p)]
+        floor = [entry["floor"]] if "floor" in entry else [0.0] if len(listed) == 2 * n else []
+        yield [key["unit"], key["stress"], context, listed, *floor]
 
 
 def _with_stack(model: LanguageModel, obj: dict) -> LanguageModel:

