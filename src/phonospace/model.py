@@ -374,7 +374,7 @@ class _AdmissibilityIndex:
     rule in ``sonority.STEP_RULE`` and are memoized per context marker; the
     row of a null context is ``full``; a two-context key ANDs both rows.
     The generic law is built once per (row, epsilon), from its smaller side.
-    ``away``, ``toward`` and ``admissible_targets`` build frozensets on demand.
+    ``members`` lists a row's cells; ``admissible_targets`` builds a frozenset of them on demand.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -432,14 +432,6 @@ class _AdmissibilityIndex:
         if contexts and (key.unit, key.stress) in _AWAY:
             return self.away_row(contexts[0])
         return reduce(operator.and_, map(self.toward_row, contexts), self.full)
-
-    def away(self, ctx: Marker) -> frozenset:
-        """Cells t with ``is_diphthongal_step(ctx, t)``."""
-        return frozenset(self.members(self.away_row(ctx)))
-
-    def toward(self, ctx: Marker) -> frozenset:
-        """Cells t with ``is_diphthongal_step(t, ctx)``."""
-        return frozenset(self.members(self.toward_row(ctx)))
 
     # each codec table is built on its first use, so a verb builds only the ones it reads
 
@@ -500,10 +492,11 @@ class LanguageModel:
     limits: ProsodicLimits
     quantization: QuantizationConfig = DEFAULT_QUANTIZATION
     transforms: Tuple = ()  # applied lazily, in order, by dist()
-    # per stored key, what training counted of each target; empty for a model built from
-    # probabilities. The tables are these counts smoothed by ``_smoothed``, and a model
-    # file holds the counts instead of the tables.
-    counts: Dict[CondKey, Dict[Target, int]] = field(default_factory=dict)
+    # per stored key, what training counted of each target, and a model file holds them
+    # instead of the tables. Only ``train``, ``load_model`` and ``variation.apply`` set
+    # them, each on a model whose tables are these counts smoothed by ``_smoothed``; any
+    # other model, a ``dataclasses.replace`` copy too, has none and saves its tables.
+    counts: Dict[CondKey, Dict[Target, int]] = field(default_factory=dict, init=False)
     _memo: Callable[[CondKey], CategoricalDist] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -519,8 +512,6 @@ class LanguageModel:
                     bad = next(t for t in named if t not in support.members)
                     raise ModelError(f"table {key!r} names {bad!r}, "
                                      f"not a cell of alphabet {self.alphabet.version!r}")
-        if self.counts and self.counts.keys() != self.tables.keys():
-            raise ModelError("counted keys differ from the stored tables' keys")
         # per instance, so a copy made by dataclasses.replace starts empty;
         # perfbench/run.py's DIST_CACHE_SIZE restates the bound. The memo reaches
         # its model through a weak reference, so the two form no reference cycle
@@ -656,11 +647,12 @@ def train(
     support = _index_for(alphabet).support
     tables = {key: _smoothed(counts[key], alpha, support)
               for key in sorted(counts, key=CondKey.sort_key)}
-    return LanguageModel(
+    model = LanguageModel(
         alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
         limits=observed if limits == "observed" else limits, quantization=quantization,
-        counts=counts,
     )
+    model.counts = counts
+    return model
 
 
 def _smoothed(counts: Dict[Target, int], alpha: float, support: Support) -> CategoricalDist:
@@ -879,17 +871,15 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
-# each unit's and each stress class's value as JSON text, and the member each value names
-_VALUES = {m: _dumps(m.value) for enum in (Unit, StressClass) for m in enum}
+# the unit and the stress class each value names
 _UNITS = {u.value: u for u in Unit}
 _STRESSES = {c.value: c for c in StressClass}
 
 
 def model_to_json(model: LanguageModel) -> str:
-    """The model document as one line of canonical JSON.
+    """The model document as one line of canonical JSON: ``json.dumps`` of one object.
 
-    The text is what ``json.dumps`` gives for the document object. Each
-    stored key is one row that names its unit and class by their values
+    Each stored key is one row that names its unit and class by their values
     and every cell by its position in the alphabet's support, the null
     phone being 0. A model that holds counts writes them; any other writes
     each table's probabilities as the ``repr`` of their ``float``.
@@ -897,25 +887,6 @@ def model_to_json(model: LanguageModel) -> str:
     q = model.quantization
     index = _index_for(model.alphabet)
     position, full = index.positions, index.support.targets
-    rows = []
-    for key in sorted(model.tables, key=CondKey.sort_key):
-        context = ",".join([str(position[c]) for c in key.context])
-        head = f"[{_VALUES[key.unit]},{_VALUES[key.stress]},[{context}],"
-        if model.counts:  # the counted targets in canonical order, each with its count
-            c = model.counts[key]
-            pairs = ",".join([f"{position[t]},{c[t]}" for t in sorted(c, key=position.__getitem__)])
-            rows.append(f"{head}[{pairs}]]")
-            continue
-        d = model.tables[key]  # as stored: the transform stack is saved on its own
-        if d.support() == full:  # the exceptions, in canonical order, and the floor
-            probs = d.exceptions
-            listed = sorted(probs, key=position.__getitem__)
-            floor = f',"{float(d.floor)!r}"'
-        else:  # the whole support
-            probs, listed, floor = dict(d.entries), d.support(), ""
-        # a float's repr needs no JSON escaping and reads back as the same float
-        pairs = ",".join([f'{position[t]},"{float(probs[t])!r}"' for t in listed])
-        rows.append(f"{head}[{pairs}]{floor}]")
     doc = {
         "format": FORMAT_VERSION,
         "alphabet_version": model.alphabet.version,
@@ -930,9 +901,22 @@ def model_to_json(model: LanguageModel) -> str:
     }
     if model.transforms:  # in stack order, applied first to last
         doc["transforms"] = [t.to_json() for t in model.transforms]
-    header = _dumps(doc)
-    # the tables are the document's last field
-    return f'{header[:-1]},"tables":[{",".join(rows)}]}}'
+    rows = []
+    for key in sorted(model.tables, key=CondKey.sort_key):
+        floor = []
+        if model.counts:  # the counted targets, each with its count
+            values = model.counts[key]
+        else:
+            d = model.tables[key]  # as stored: the transform stack is saved on its own
+            if d.support() == full:  # the exceptions and the floor
+                values, floor = d.exceptions, [repr(float(d.floor))]
+            else:  # the whole support
+                values = dict(d.entries)
+            values = {t: repr(float(p)) for t, p in values.items()}
+        listed = [v for t in sorted(values, key=position.__getitem__) for v in (position[t], values[t])]
+        rows.append([key.unit.value, key.stress.value, [position[c] for c in key.context], listed, *floor])
+    doc["tables"] = rows  # the document's last field
+    return _dumps(doc)
 
 
 def save_model(model: LanguageModel, destination) -> None:
@@ -984,7 +968,8 @@ def load_model(source, alphabet: Alphabet) -> LanguageModel:
             rows, kind = _legacy_rows(obj["tables"], index, alphabet), "probabilities"
         tables, counts = _read_rows(rows, kind, index, alpha)
         model = LanguageModel(alphabet=alphabet, tables=tables, epsilon=epsilon, alpha=alpha,
-                              limits=limits, quantization=quantization, counts=counts)
+                              limits=limits, quantization=quantization)
+        model.counts = counts
     except ModelFormatError:
         raise
     except ModelError as exc:  # a bad epsilon, alpha or table is a bad file
@@ -1082,5 +1067,7 @@ def _with_stack(model: LanguageModel, obj: dict) -> LanguageModel:
             t = AppliedTransform.from_json(entry)
         except ValueError as exc:
             raise ModelFormatError(f"bad transform {i}: {exc}") from None
+        if t.spec.lam == 0:  # apply would drop it, so the file would reload to another stack
+            raise ModelFormatError(f"bad transform {i}: a lambda of 0 is the identity and is never saved")
         model = apply(model, t.regime, t.spec)
     return model

@@ -200,11 +200,14 @@ def apply(model: LanguageModel, regime: Regime, spec: TransformSpec) -> Language
     """New model whose distributions pass through one more transform.
 
     A lambda of zero is the identity, so the model itself is returned and
-    its stack (and its saved document) stays as it was.
+    its stack (and its saved document) stays as it was. The copy shares the
+    model's tables, so it keeps their counts too.
     """
     if spec.lam == 0:
         return model
-    return replace(model, transforms=model.transforms + (AppliedTransform(spec, regime),))
+    varied = replace(model, transforms=model.transforms + (AppliedTransform(spec, regime),))
+    varied.counts = model.counts
+    return varied
 
 
 def drift_report(

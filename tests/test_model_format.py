@@ -8,6 +8,7 @@ alphabet mismatch.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -18,10 +19,15 @@ import numpy as np
 import pytest
 
 from phonospace import (
+    CategoricalDist,
+    CondKey,
     LanguageModel,
+    ProsodicLimits,
     Regime,
     TransformKind,
     TransformSpec,
+    StressClass,
+    Unit,
     apply,
     load_alphabet,
     load_model,
@@ -71,12 +77,64 @@ class TestRoundTripAcrossAlpha:
         assert Path(same).read_bytes() == Path(model).read_bytes()
 
 
-def test_counted_keys_must_be_the_stored_keys(mini_alphabet):
-    model = trained_on(mini_alphabet)
-    key = next(iter(model.counts))
-    with pytest.raises(ModelError, match="counted keys"):
-        LanguageModel(mini_alphabet, model.tables, 0.05, 0.01, model.limits,
-                      counts={k: c for k, c in model.counts.items() if k != key})
+class TestCanonicalText:
+    """A saved model is ``json.dumps`` of its document, so loading and dumping the text changes nothing."""
+
+    @staticmethod
+    def model(alphabet, which):
+        trained = trained_on(alphabet)
+        if which == "trained":
+            return trained
+        if which == "varied":
+            return apply(apply(trained, Regime(rate=2.0), TransformSpec(TransformKind.SYNCOPE, 0.5)),
+                         Regime(rate=2.0), TransformSpec(TransformKind.STRAIGHTENING, 0.5))
+        if which == "full support":  # every row an exception list and a floor
+            tables = {key: trained.generic_dist(key) for key in trained.tables}
+        else:  # one row over a partial support, listed whole
+            cells = list(alphabet)
+            tables = {CondKey(Unit.RHYME, StressClass.STRESSED, (cells[0],)):
+                      CategoricalDist([(None, 0.25), (cells[1], 0.75)])}
+        return LanguageModel(alphabet, tables, 0.05, 0.0, ProsodicLimits.full())
+
+    @pytest.mark.parametrize("which", ["trained", "varied", "full support", "partial support"])
+    def test_text_is_json_dumps_of_its_document(self, mini_alphabet, which):
+        text = model_to_json(self.model(mini_alphabet, which))
+        assert text == json.dumps(json.loads(text), separators=(",", ":"))
+        rows = json.loads(text)["tables"]
+        assert {len(row) for row in rows} == {5 if which == "full support" else 4}
+
+
+class TestCountsFollowTheTables:
+    """Only a model whose tables came from its counts saves them; any other saves probability rows."""
+
+    @pytest.fixture
+    def corpus(self, mini_alphabet):
+        rng = np.random.default_rng(1)
+        return [random_valid_string(rng, mini_alphabet, max_len=12) for _ in range(20)]
+
+    @pytest.mark.parametrize("change", ["tables", "alpha"])
+    def test_replaced_copy_reloads_to_its_scores(self, mini_alphabet, corpus, change):
+        trained = train(corpus, alphabet=mini_alphabet)
+        edit = ({"tables": {key: trained.generic_dist(key) for key in trained.tables}}
+                if change == "tables" else {"alpha": 1.0})
+        copied = dataclasses.replace(trained, **edit)
+        assert trained.counts and not copied.counts
+        text = model_to_json(copied)
+        assert json.loads(text)["rows"] == "probabilities"
+        reloaded = load_model(text, mini_alphabet)
+        assert [score(reloaded, s) for s in corpus] == [score(copied, s) for s in corpus]
+
+    def test_apply_keeps_counts_and_a_replaced_stack_does_not(self, mini_alphabet, corpus):
+        trained = train(corpus, alphabet=mini_alphabet)
+        varied = apply(trained, Regime(rate=2.0), TransformSpec(TransformKind.SYNCOPE, 0.5))
+        assert varied.counts is trained.counts
+        assert json.loads(model_to_json(varied))["rows"] == "counts"
+        restacked = dataclasses.replace(trained, transforms=varied.transforms)
+        doc = json.loads(model_to_json(restacked))
+        assert doc["rows"] == "probabilities"
+        assert doc["transforms"] == [t.to_json() for t in varied.transforms]
+        reloaded = load_model(json.dumps(doc), mini_alphabet)
+        assert [score(reloaded, s) for s in corpus] == [score(restacked, s) for s in corpus]
 
 
 def set_listed(index, value):

@@ -174,6 +174,10 @@ class TestCli:
         "empty stack": ("3", [], "nonempty"),
         "no stack": ("3", None, "nonempty"),
         "stack in format 2": ("2", [GOOD], "needs format"),
+        # apply drops a lambda of 0, so such an entry would vanish on load
+        "lambda zero": ("4", [dict(GOOD, **{"lambda": "0.0"})], "bad transform 1: a lambda of 0"),
+        "lambda minus zero": ("4", [GOOD, dict(GOOD, **{"lambda": "-0.0"})], "bad transform 2: a lambda of 0"),
+        "lambda zero in format 3": ("3", [GOOD, dict(GOOD, **{"lambda": "0"})], "bad transform 2: a lambda of 0"),
     }
 
     @pytest.mark.parametrize("case", list(BAD))
