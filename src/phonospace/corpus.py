@@ -101,6 +101,10 @@ def read_corpus(source: Union[str, IO]) -> Iterator[CorpusString]:
             yield CorpusString(start_line, phones)
 
 
+# one encoder for every phone: ``json.dumps`` with a separator argument builds a new one a call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_corpus(strings: Iterable[Sequence[Phone]], destination: Union[str, IO],
                  header_lines: Sequence[str] = ()) -> None:
     """Write strings as JSONL with blank-line separators; deterministic bytes."""
@@ -113,4 +117,4 @@ def write_corpus(strings: Iterable[Sequence[Phone]], destination: Union[str, IO]
                 fh.write("\n")
             first = False
             for phone in s:
-                fh.write(json.dumps(phone_to_record(phone), separators=(",", ":")) + "\n")
+                fh.write(_ENCODER.encode(phone_to_record(phone)) + "\n")

@@ -173,11 +173,14 @@ class CategoricalDist:
         self.exceptions = {t: p for t, p in probs.items() if p != canonical}
         self._cum = None
 
+    def _dense(self) -> Iterator[float]:
+        """Each support target's p, in canonical order."""
+        return map(self.exceptions.get, self._support.targets, repeat(self.floor))
+
     @property
     def entries(self) -> Tuple[Tuple[Target, float], ...]:
         """Dense (target, p) pairs over the support, in canonical order."""
-        exc, floor = self.exceptions, self.floor
-        return tuple((t, exc.get(t, floor)) for t in self._support.targets)
+        return tuple(zip(self._support.targets, self._dense()))
 
     def prob(self, target: Target) -> float:
         p = self.exceptions.get(target)
@@ -200,8 +203,7 @@ class CategoricalDist:
         targets = self._support.targets
         cum = self._cum
         if cum is None:  # the left-to-right sums of the dense entries, as packed doubles
-            cum = self._cum = array("d", accumulate(
-                map(self.exceptions.get, targets, repeat(self.floor))))
+            cum = self._cum = array("d", accumulate(self._dense()))
         i = bisect_right(cum, float(rng.random()))
         return targets[min(i, len(targets) - 1)]
 
@@ -213,6 +215,53 @@ class CategoricalDist:
     def __repr__(self):
         nz = sum(1 for _, p in self.entries if p > 0)
         return f"CategoricalDist({len(self._support.targets)} targets, {nz} nonzero)"
+
+
+class _RowLaw(CategoricalDist):
+    """The generic law of one admissibility row, over an index's full support.
+
+    It is held as the row's bits and two masses: ``p_in`` on the null phone
+    and the row's cells, ``p_out`` on the other cells. ``floor`` is the more
+    common mass, ties going to the smaller, as the constructor picks;
+    ``exceptions`` is built from the bits on its first read.
+    """
+
+    __slots__ = ("_positions", "_bits", "_masses", "_exceptions")
+
+    def __init__(self, support: Support, positions: Dict[Target, int], row: int,
+                 p_in: float, p_out: float):
+        n_in = row.bit_count() + 1
+        n_out = len(support.targets) - n_in
+        if min(p_in, p_out) < 0:
+            raise ModelFormatError(f"negative probability {min(p_in, p_out)}")
+        total = n_in * p_in + n_out * p_out
+        if not abs(total - 1.0) <= 1e-9:  # also rejects a NaN sum
+            raise ModelFormatError(f"non-normalized distribution (sum {total!r})")
+        self._support, self._positions = support, positions
+        self._bits = row << 1 | 1  # bit i stands for support target i, the null phone first
+        self._masses = (p_out, p_in)  # by bit
+        self.floor = p_in if (n_in, -p_in) > (n_out, -p_out) else p_out
+        self._exceptions = self._cum = None
+
+    def _flags(self) -> str:
+        """Each support target's bit, in canonical order, as "0" or "1"."""
+        return bin(self._bits | 1 << len(self._support.targets))[:2:-1]
+
+    def _dense(self) -> Iterator[float]:
+        return map(dict(zip("01", self._masses)).__getitem__, self._flags())
+
+    @property
+    def exceptions(self) -> Dict[Target, float]:
+        if self._exceptions is None:
+            p_out, p_in = self._masses
+            off = "0" if self.floor == p_in else "1"  # the bit of the targets off the floor
+            self._exceptions = {} if p_in == p_out else dict.fromkeys(
+                compress(self._support.targets, map(off.__eq__, self._flags())), self._masses[off == "1"])
+        return self._exceptions
+
+    def prob(self, target: Target) -> float:
+        i = self._positions.get(target)
+        return 0.0 if i is None else self._masses[self._bits >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -373,15 +422,17 @@ class _AdmissibilityIndex:
     for ``cells[i]``. Rows come from per-dimension rank classes of the step
     rule in ``sonority.STEP_RULE`` and are memoized per context marker; the
     row of a null context is ``full``; a two-context key ANDs both rows.
-    The generic law is built once per (row, epsilon), from its smaller side.
+    The generic law is built once per (row, epsilon), as the row and its two masses.
     ``members`` lists a row's cells; ``admissible_targets`` builds a frozenset of them on demand.
     """
 
     def __init__(self, alphabet: Alphabet):
         cells = self.cells = tuple(alphabet)  # canonical order
-        full = self.full = (1 << len(cells)) - 1
+        self.full = (1 << len(cells)) - 1
         self.closures = tuple(m for m in cells if m.manner is Manner.CLOSURE)
         support = self.support = Support((None,) + cells)
+        # each support target's canonical position, by which a model file and a generic law name it
+        positions = self.positions = {t: i for i, t in enumerate(support.targets)}
         per_dim = [(dim.attr, _rank_classes(cells, dim)) for dim in STEP_RULE]
         away_classes = [(attr, away) for attr, (away, _) in per_dim]
         toward_classes = [(attr, toward) for attr, (_, toward) in per_dim]
@@ -416,12 +467,7 @@ class _AdmissibilityIndex:
             excluded = len(cells) - admitted
             p_adm = (1.0 - epsilon if excluded else 1.0) / (admitted + 1)
             p_exc = epsilon / excluded if excluded else 0.0
-            # the floor is the more common probability, ties to the smaller, as the constructor picks
-            if (admitted + 1, -p_adm) > (excluded, -p_exc):
-                return CategoricalDist(dict.fromkeys(members(full & ~row), p_exc), support, p_adm)
-            exceptions = dict.fromkeys(members(row), p_adm)
-            exceptions[None] = p_adm
-            return CategoricalDist(exceptions, support, p_exc)
+            return _RowLaw(support, positions, row, p_adm, p_exc)
 
         self.members, self.away_row, self.toward_row = members, away_row, toward_row
         self.distances, self.generic = distances, generic
@@ -433,14 +479,7 @@ class _AdmissibilityIndex:
             return self.away_row(contexts[0])
         return reduce(operator.and_, map(self.toward_row, contexts), self.full)
 
-    # each codec table is built on its first use, so a verb builds only the ones it reads
-
-    @cached_property
-    def positions(self) -> Dict[Target, int]:
-        """Each support target's canonical position, by which a model file names it."""
-        return {t: i for i, t in enumerate(self.support.targets)}
-
-    @cached_property
+    @cached_property  # built on its first use, by a verb that reads or writes a model file
     def digest(self) -> str:
         """CRC-32 of the support's records in canonical order: the cells the positions name.
 

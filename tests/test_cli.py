@@ -234,6 +234,11 @@ class TestSampleBytes:
     TRAINED = "49020204d00d909b4f8a658aa657ec1c9fb7d5bbe1b1cca6939aef4054606fcc"
     # a model trained on the GENERIC corpus: its observed limits give spans other than 129
     TRAINED_ON_SAMPLE = "11cc1373e027bbbc6d68391c220a8fd0fca9a172d20ce5605e60c8a7169f71a6"
+    # the generic model at other joining masses, pinned before the generic law was held as
+    # its row and two masses; at epsilon 0 every excluded cell has a zero-width table entry,
+    # and the CI no-numpy job checks GENERIC_AT_EPSILON_0 through the stdlib PCG64
+    GENERIC_AT_EPSILON_0 = "8d11f839c1b0dee2d862fb3d96ee6f7285c342539634dd03031d7158c81e9734"
+    GENERIC_AT_EPSILON_03 = "8cef7c86d4f5705929f4e3412c4ae4922810895a91ce0b0802cec548adcd8a24"
 
     @staticmethod
     def digest(argv):
@@ -244,6 +249,11 @@ class TestSampleBytes:
 
     def test_generic_model(self):
         assert self.digest(["sample", "-n", "50", "--seed", "7"]) == self.GENERIC
+
+    def test_generic_model_at_other_epsilons(self):
+        assert self.digest(["sample", "-n", "50", "--seed", "7", "--epsilon", "0"]) == self.GENERIC_AT_EPSILON_0
+        argv = ["sample", "-n", "50", "--seed", "7", "--epsilon", "0.3", "--max-syllables", "5"]
+        assert self.digest(argv) == self.GENERIC_AT_EPSILON_03
 
     def test_trained_model(self, tmp_path, alphabet):
         import numpy as np

@@ -419,7 +419,11 @@ def _sorted_dense(entries):
 
 def _reference_generic(alphabet, key, eps):
     """The dense construction: every cell listed, admissible or not."""
-    adm = admissible_targets(alphabet, key)
+    return _dense_generic(alphabet, admissible_targets(alphabet, key), eps)
+
+
+def _dense_generic(alphabet, adm, eps):
+    """The dense law uniform over the cells ``adm`` plus the null phone, the joining mass over the rest."""
     cells = list(alphabet)
     excluded = len(cells) - len(adm)
     if excluded > 0:
@@ -912,6 +916,45 @@ class TestSharedGenericLaw:
         assert m.generic_dist(null) is not m.generic_dist(closure)
         other = generic_model(alphabet, 0.1).generic_dist(closure)
         assert other is not m.generic_dist(closure) and other != m.generic_dist(closure)
+
+
+class TestRowLaw:
+    """Each generic law, held as its row and two masses, equals the checked constructor's dense build."""
+
+    @staticmethod
+    def rows(alphabet):
+        """Every row a one-context key reaches, some two-context ANDs, the full row and a tied row."""
+        from phonospace.model import _index_for
+        index, cells = _index_for(alphabet), list(alphabet)
+        keys = [CondKey(unit, cls, (c,)) for unit in Unit for cls in StressClass for c in cells]
+        keys += [CondKey(Unit.NUCLEUS, U, (a, b)) for a in cells[::7] for b in cells[3::11]]
+        keys.append(CondKey(Unit.ONSET, S, (None,)))
+        rows = {index.row(key) for key in keys}
+        assert index.full in rows
+        n = len(index.support.targets)
+        if n % 2 == 0:  # no key reaches a row whose two masses cover equally many targets
+            rows.add((1 << (n // 2 - 1)) - 1)
+        return index, rows
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1])
+    @pytest.mark.parametrize("which", ["alphabet", "mini_alphabet"])
+    def test_law_equals_the_dense_build(self, which, eps, request):
+        alphabet = request.getfixturevalue(which)
+        from phonospace import FrontBack, Manner, Marker, OpenClose, Place
+        outside = next(m for m in itertools.starmap(Marker, itertools.product(
+            Manner, FrontBack, OpenClose, Place)) if m not in alphabet)
+        index, rows = self.rows(alphabet)
+        for row in rows:
+            law = index.generic(row, eps)
+            ref = CategoricalDist(_dense_generic(alphabet, frozenset(index.members(row)), eps))
+            assert law == ref and ref == law, row
+            assert law.floor == ref.floor and law.exceptions == ref.exceptions, row
+            assert law.entries == ref.entries, row
+            assert [law.prob(t) for t in ref.support()] == [ref.prob(t) for t in ref.support()], row
+            assert law.prob(outside) == ref.prob(outside) == 0.0
+            a, b = Pcg64(len(rows)), Pcg64(len(rows))
+            assert [law.sample(a) for _ in range(200)] == [ref.sample(b) for _ in range(200)], row
+            assert law._cum.tobytes() == ref._cum.tobytes(), row
 
 
 class TestModelRangeChecks:
